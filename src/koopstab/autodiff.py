@@ -6,6 +6,12 @@ which is automatically a topological order, so a backward pass is a single
 reverse sweep. Gradients accumulate (sum) across fan-out; a fresh tape is
 used per training step, so there is nothing to reset.
 
+Gradients are materialised lazily: a value holds no gradient array until
+the sweep reaches it. The sweep releases each node once its adjoint is
+applied, so after :meth:`Tape.backward` the tape keeps no activations or
+closures, and reference counting frees a step's intermediates as soon as
+the caller drops them, without waiting for the cyclic garbage collector.
+
 Only the operations needed to train small fully-connected networks and to
 differentiate through products like ``inv(S) @ K @ S`` are provided. There
 is no broadcasting beyond the explicit column-bias case in
@@ -39,16 +45,25 @@ def _as_matrix(value) -> np.ndarray:
 class DiffValue:
     """A matrix participating in reverse-mode differentiation.
 
-    ``grad`` has the same shape as ``value`` and is zero until a backward
-    pass from a scalar loss fills it with d(loss)/d(value).
+    ``grad`` has the same shape as ``value`` and holds d(loss)/d(value)
+    after a backward pass from a scalar loss. No gradient array exists
+    until the pass reaches the value; an unreached value reads as zeros.
+    The array may be shared with other values' gradients, so treat it as
+    read-only.
     """
 
-    __slots__ = ("value", "grad", "_tape")
+    __slots__ = ("value", "_grad", "_tape", "__weakref__")
 
     def __init__(self, value: np.ndarray, tape: "Tape"):
         self.value = value
-        self.grad = np.zeros_like(value)
+        self._grad = None
         self._tape = tape
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            return np.zeros_like(self.value)
+        return self._grad
 
     @property
     def shape(self):
@@ -72,6 +87,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._released = 0
         self._backward_done = False
 
     def leaf(self, value) -> DiffValue:
@@ -93,8 +109,9 @@ class Tape:
     def backward(self, loss: DiffValue) -> None:
         """Accumulate d(loss)/d(x) into ``x.grad`` for every reachable x.
 
-        ``loss`` must be a (1, 1) scalar produced on this tape. A tape
-        supports exactly one backward pass.
+        ``loss`` must be a (1, 1) scalar produced on this tape. The sweep
+        releases each recorded operation once its adjoint is applied, so a
+        tape supports exactly one backward pass.
         """
         if loss._tape is not self:
             raise ContractError("loss was not computed on this tape")
@@ -104,16 +121,21 @@ class Tape:
             raise ContractError("tape already differentiated; build a new tape")
         self._backward_done = True
 
-        loss.grad[0, 0] = 1.0
-        for node in reversed(self._nodes):
-            g = node.out.grad
-            if not g.any():
+        nodes, self._nodes = self._nodes, []
+        self._released = len(nodes)
+        loss._grad = np.ones((1, 1))
+        while nodes:
+            node = nodes.pop()
+            g = node.out._grad
+            if g is None or not g.any():
                 continue
             for parent, pg in zip(node.parents, node.backward_fn(g)):
-                parent.grad += pg
+                # out of place: adjoints may hand the same array to two parents
+                parent._grad = pg if parent._grad is None else parent._grad + pg
 
     def __len__(self):
-        return len(self._nodes)
+        """Number of operations recorded, including those already released."""
+        return self._released + len(self._nodes)
 
 
 def _same_tape(*vals: DiffValue) -> Tape:
@@ -139,27 +161,30 @@ def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
     return tape._record(out, (a, b), backward_fn)
 
 
-def matinv(a: DiffValue, cond_cap: float = DEFAULT_COND_CAP) -> DiffValue:
-    """Matrix inverse via LAPACK LU with an infinity-norm condition guard.
+def checked_inverse(a: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
+    """Inverse of a plain square array via LAPACK LU, with a condition guard.
 
-    Raises :class:`SingularMatrixError` (carrying the condition estimate)
-    when the input is singular or its estimated condition number exceeds
-    ``cond_cap``.
+    Raises :class:`SingularMatrixError` (carrying the infinity-norm
+    condition estimate) when ``a`` is singular, holds NaN or Inf, or its
+    estimated condition number exceeds ``cond_cap``.
     """
-    tape = _same_tape(a)
-    av = a.value
-    if av.shape[0] != av.shape[1]:
-        raise DimensionError(f"matinv: matrix is {av.shape}, not square")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"matrix is {a.shape}, not square")
     try:
-        inv = np.linalg.inv(av)
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"singular matrix: {exc}") from exc
-    norm = np.linalg.norm(av, np.inf)
-    inv_norm = np.linalg.norm(inv, np.inf)
-    cond = norm * inv_norm
+    cond = float(np.linalg.norm(a, np.inf) * np.linalg.norm(inv, np.inf))
     if not np.isfinite(cond) or cond > cond_cap:
         raise SingularMatrixError(
             f"condition estimate {cond:.3e} exceeds cap {cond_cap:.3e}", cond)
+    return inv
+
+
+def matinv(a: DiffValue, cond_cap: float = DEFAULT_COND_CAP) -> DiffValue:
+    """Matrix inverse on the tape; see :func:`checked_inverse` for the guard."""
+    tape = _same_tape(a)
+    inv = checked_inverse(a.value, cond_cap)
     out = DiffValue(inv, tape)
 
     def backward_fn(g):
@@ -249,11 +274,12 @@ def gather_cols(a: DiffValue, indices) -> DiffValue:
         raise DimensionError(
             f"gather_cols: index out of range for {a.value.shape[1]} columns")
     out = DiffValue(a.value[:, idx].copy(), tape)
-    shape = a.value.shape
+    rows, cols = a.value.shape
 
     def backward_fn(g):
-        buf = np.zeros(shape)
-        np.add.at(buf, (slice(None), idx), g)
-        return (buf,)
+        # one bincount over all rows; each entry sums its columns in index order
+        flat = (idx + cols * np.arange(rows)[:, None]).ravel()
+        buf = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)
+        return (buf.reshape(rows, cols),)
 
     return tape._record(out, (a,), backward_fn)

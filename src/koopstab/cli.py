@@ -162,6 +162,8 @@ def read_matrix(path) -> np.ndarray:
                 rows.append([float(tok) for tok in line.split(",")])
             except ValueError as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno) from None
+            if not np.all(np.isfinite(rows[-1])):
+                raise DataError(f"{path}:{lineno}: matrix entries must be finite")
             if len(rows[-1]) != len(rows[0]):
                 raise ParseError(
                     f"expected {len(rows[0])} columns, got {len(rows[-1])}",

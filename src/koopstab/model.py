@@ -41,7 +41,6 @@ from .errors import (
     DataError,
     DimensionError,
     ParseError,
-    SingularMatrixError,
 )
 
 COND_CAP = 1e8
@@ -108,19 +107,6 @@ class MlpParams:
             if k < last:
                 h = apply_activation(self.activation, h)
         return h
-
-
-def _cond_checked_inverse(S: np.ndarray) -> np.ndarray:
-    try:
-        inv = np.linalg.inv(S)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("change-of-basis matrix is singular") from None
-    cond = float(np.linalg.norm(S, np.inf) * np.linalg.norm(inv, np.inf))
-    if cond > COND_CAP:
-        raise SingularMatrixError(
-            f"change-of-basis condition estimate {cond:.3e} exceeds {COND_CAP:.0e}",
-            cond_estimate=cond)
-    return inv
 
 
 @dataclass
@@ -192,7 +178,7 @@ class KoopmanModel:
 
     def effective_matrix(self) -> np.ndarray:
         """The matrix S^-1 K S that advances lifted coordinates."""
-        return _cond_checked_inverse(self.S) @ self.K @ self.S
+        return ad.checked_inverse(self.S, COND_CAP) @ self.K @ self.S
 
     def rollout(self, psi0, horizon: int) -> np.ndarray:
         """Lifted iterates [K'z, K'^2 z, ..., K'^horizon z], rows stacked."""

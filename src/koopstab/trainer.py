@@ -162,7 +162,7 @@ class TrainHistory:
 
     def append(self, record: IterationRecord) -> None:
         floor = np.minimum(0.0, self.alpha * record.h_pre)
-        if not np.all(record.h_post >= floor - 1e-9):
+        if not np.all(record.h_post >= floor):
             worst = float((record.h_post - floor).min())
             raise ContractError(
                 f"iteration {record.iteration}: projected barrier fell "

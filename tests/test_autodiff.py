@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -248,6 +251,58 @@ def test_replay_is_deterministic():
     assert np.array_equal(v1, v2)
     assert np.array_equal(ga1, ga2)
     assert np.array_equal(gb1, gb2)
+
+
+# ----------------------------------------------------- tape lifetime, fan-out
+
+def test_backward_releases_the_step_without_the_cycle_collector():
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        w = tape.leaf(np.full((3, 2), 0.5))
+        hidden = ad.elementwise(ad.matmul(w, tape.leaf(np.ones((2, 4)))), "tanh")
+        loss = ad.sum_sq_norm(hidden)
+        hidden_ref, tape_ref = weakref.ref(hidden), weakref.ref(tape)
+        del hidden
+        tape.backward(loss)
+        assert hidden_ref() is None  # freed as its node was released
+        del tape, loss, w
+        assert tape_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_tape_length_counts_released_nodes():
+    tape = ad.Tape()
+    x = tape.leaf(np.ones((2, 2)))
+    loss = ad.sum_sq_norm(ad.add(ad.matmul(x, x), x))
+    assert len(tape) == 3
+    tape.backward(loss)
+    assert len(tape) == 3
+    with pytest.raises(ContractError):
+        tape.backward(loss)  # released tapes stay single-use
+
+
+def test_add_of_a_value_to_itself_doubles_its_gradient():
+    x0 = np.array([[1.5, -2.0], [0.25, 3.0]])
+    tape = ad.Tape()
+    x = tape.leaf(x0)
+    tape.backward(ad.sum_sq_norm(ad.add(x, x)))
+    np.testing.assert_array_equal(x.grad, 8.0 * x0)
+
+
+def test_fan_out_sums_gradients_without_aliasing():
+    """Adjoints hand one array to both parents; accumulation must not mutate it."""
+    x0 = np.array([[1.5, -2.0], [0.25, 3.0]])
+    tape = ad.Tape()
+    x = tape.leaf(x0)
+    h = ad.elementwise(x, "identity")  # feeds the scale and the add below
+    p = ad.elementwise(x, "identity")
+    s = ad.scale(h, 3.0)
+    q = ad.add(ad.add(p, h), s)
+    tape.backward(ad.sum_sq_norm(q))
+    g = 2.0 * q.value
+    np.testing.assert_array_equal(x.grad, g + (g + 3.0 * g))
 
 
 # ----------------------------------------------------------------- errors

@@ -162,6 +162,13 @@ class TestVerifyCommand:
         assert main(["verify", str(path)]) == 2
         assert "k.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_exit_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "k.csv"
+        path.write_text(f"0.5,0.0\n0.0,{bad}\n")
+        assert main(["verify", str(path)]) == 2
+        assert "k.csv:2" in capsys.readouterr().err
+
 
 class TestProjectCommand:
     def test_feasible_matrix_passes_through(self, tmp_path):
@@ -200,6 +207,13 @@ class TestProjectCommand:
         out = read_matrix(tmp_path / "k.projected.csv")
         # threshold is alpha * (-0.5) = -0.25, so diag 1.25 is allowed
         np.testing.assert_allclose(out, 1.25 * np.eye(2), atol=1e-9)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_entry_exit_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "k.csv"
+        path.write_text(f"{bad},0.0\n0.0,0.5\n")
+        assert main(["project", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestEdmdCommand:

@@ -156,6 +156,14 @@ class TestEffectiveMatrix:
             m.effective_matrix()
         assert err.value.cond_estimate > 1e8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        m = tiny_model()
+        m.S = np.eye(3)
+        m.S[1, 2] = bad
+        with pytest.raises(SingularMatrixError):
+            m.effective_matrix()
+
 
 class TestRollout:
     def test_zero_matrix_rolls_to_zero(self):
