@@ -12,10 +12,18 @@ applied, so after :meth:`Tape.backward` the tape keeps no activations or
 closures, and reference counting frees a step's intermediates as soon as
 the caller drops them, without waiting for the cyclic garbage collector.
 
+A whole dense layer, ``act(w @ x + b)``, records as one operation,
+:func:`dense`. Its forward allocates one array, the product, and adds the
+bias and applies the activation to it in place; its adjoint derives the
+activation's slope from that output. The values and gradients are the
+same float operations in the same order as the chain
+:func:`matmul` -> :func:`add_bias` -> :func:`elementwise`, which remain
+available as separate operations.
+
 Only the operations needed to train small fully-connected networks and to
 differentiate through products like ``inv(S) @ K @ S`` are provided. There
-is no broadcasting beyond the explicit column-bias case in
-:func:`add_bias`, and no higher-order derivatives.
+is no broadcasting beyond the explicit column-bias cases in
+:func:`add_bias` and :func:`dense`, and no higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -194,29 +202,64 @@ def matinv(a: DiffValue, cond_cap: float = DEFAULT_COND_CAP) -> DiffValue:
     return tape._record(out, (a,), backward_fn)
 
 
+def _activate(h: np.ndarray, fn: str) -> np.ndarray:
+    """Apply activation ``fn`` to ``h`` in place and return ``h``."""
+    if fn == "tanh":
+        np.tanh(h, out=h)
+    elif fn == "relu":
+        np.maximum(h, 0.0, out=h)
+    elif fn != "identity":
+        raise ContractError(f"unknown activation {fn!r}, expected one of {ACTIVATIONS}")
+    return h
+
+
+def _activation_adjoint(g: np.ndarray, out: np.ndarray, fn: str) -> np.ndarray:
+    """``g`` times the activation's slope, read from its output ``out``.
+
+    relu's output is positive exactly where its input is, so the mask
+    taken from the output equals the one taken from the input.
+    """
+    if fn == "tanh":
+        return g * (1.0 - out * out)
+    if fn == "relu":
+        return g * (out > 0.0)
+    return g
+
+
 def elementwise(a: DiffValue, fn: str) -> DiffValue:
     """Apply an activation entrywise; ``fn`` is one of tanh/relu/identity."""
     tape = _same_tape(a)
-    if fn not in ACTIVATIONS:
-        raise ContractError(f"unknown activation {fn!r}, expected one of {ACTIVATIONS}")
-    if fn == "identity":
-        out_val = a.value.copy()
-    elif fn == "tanh":
-        out_val = np.tanh(a.value)
-    else:
-        out_val = np.maximum(a.value, 0.0)
+    out_val = _activate(a.value.copy(), fn)
     out = DiffValue(out_val, tape)
+    return tape._record(out, (a,),
+                        lambda g: (_activation_adjoint(g, out_val, fn),))
 
-    if fn == "identity":
-        backward_fn = lambda g: (g,)
-    elif fn == "tanh":
-        deriv = 1.0 - out_val * out_val
-        backward_fn = lambda g: (g * deriv,)
-    else:
-        mask = (a.value > 0.0).astype(np.float64)
-        backward_fn = lambda g: (g * mask,)
 
-    return tape._record(out, (a,), backward_fn)
+def dense(w: DiffValue, x: DiffValue, b: DiffValue, fn: str) -> DiffValue:
+    """One MLP layer ``fn(w @ x + b)`` as a single tape operation.
+
+    ``b`` is a (rows of w, 1) bias column added to every column. Only the
+    product is a new array: the bias and the activation are applied to it
+    in place, and ``w``, ``x`` and ``b`` are never written.
+    """
+    tape = _same_tape(w, x, b)
+    if w.value.shape[1] != x.value.shape[0]:
+        raise DimensionError(
+            f"dense: inner dimensions differ, {w.value.shape} @ {x.value.shape}")
+    if b.value.shape != (w.value.shape[0], 1):
+        raise DimensionError(
+            f"dense: bias must be ({w.value.shape[0]}, 1), got {b.value.shape}")
+    wv, xv = w.value, x.value
+    h = wv @ xv
+    h += b.value
+    _activate(h, fn)
+    out = DiffValue(h, tape)
+
+    def backward_fn(g):
+        gz = _activation_adjoint(g, h, fn)
+        return gz @ xv.T, wv.T @ gz, gz.sum(axis=1, keepdims=True)
+
+    return tape._record(out, (w, x, b), backward_fn)
 
 
 def _check_same_shape(a: DiffValue, b: DiffValue, opname: str):

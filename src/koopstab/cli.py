@@ -90,7 +90,12 @@ class RunConfig:
     patience: int = 200
     checkpoint_every: int = 0
     eval_split: str = "val"
-    dictionary: str = "identity"
+
+    def __post_init__(self):
+        if self.lift_dim < 1:
+            raise ConfigError(f"lift_dim must be >= 1, got {self.lift_dim}")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
 
     def train_config(self) -> TrainConfig:
         weights = LossWeights(pred=self.pred_weight, lin=self.lin_weight,
@@ -277,8 +282,8 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def cmd_edmd(args: argparse.Namespace) -> int:
-    config = RunConfig(data=args.data, dictionary=args.dictionary,
-                       center=False, normalize=False, dt=0.0, n_val=0)
+    config = RunConfig(data=args.data, center=False, normalize=False, dt=0.0,
+                       n_val=0)
     dataset = _load_dataset(config)
     trajs = dataset.train if dataset.train else dataset.trajectories
     pairs = lift_dataset([t.states for t in trajs], args.dictionary)

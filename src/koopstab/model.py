@@ -46,16 +46,6 @@ from .errors import (
 COND_CAP = 1e8
 
 
-def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return x
-    if name == "tanh":
-        return np.tanh(x)
-    if name == "relu":
-        return np.maximum(x, 0.0)
-    raise ContractError(f"unknown activation {name!r}, expected one of {ACTIVATIONS}")
-
-
 @dataclass
 class MlpParams:
     """Dense MLP weights; activation on every layer except the last."""
@@ -105,7 +95,7 @@ class MlpParams:
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = w @ h + b
             if k < last:
-                h = apply_activation(self.activation, h)
+                ad._activate(h, self.activation)
         return h
 
 
@@ -182,9 +172,11 @@ class KoopmanModel:
 
     def rollout(self, psi0, horizon: int) -> np.ndarray:
         """Lifted iterates [K'z, K'^2 z, ..., K'^horizon z], rows stacked."""
+        return self._rollout(self.effective_matrix(), psi0, horizon)
+
+    def _rollout(self, Keff: np.ndarray, psi0, horizon: int) -> np.ndarray:
         if horizon < 1:
             raise ContractError(f"horizon must be >= 1, got {horizon}")
-        Keff = self.effective_matrix()
         z = np.asarray(psi0, dtype=np.float64).reshape(self.d)
         out = np.empty((horizon, self.d))
         for k in range(horizon):
@@ -192,10 +184,27 @@ class KoopmanModel:
             out[k] = z
         return out
 
-    def predict_states(self, x0, n_steps: int) -> np.ndarray:
-        """Decoded predictions for steps 1..n_steps from the state x0."""
-        lifted = self.rollout(self.encode(np.asarray(x0)), n_steps)
-        return self.decode(lifted.T).T
+    def predict_states(self, x0, n_steps):
+        """Decoded predictions for steps 1..n_steps from the state x0.
+
+        ``x0`` may also be a (B, n) stack of initial states, with
+        ``n_steps`` a sequence of B step counts; the result is then a list
+        of B prediction arrays, and S^-1 K S is formed once for all of them.
+        """
+        states = np.asarray(x0, dtype=np.float64)
+        Keff = self.effective_matrix()
+
+        def predict(x, count):
+            lifted = self._rollout(Keff, self.encode(x), count)
+            return self.decode(lifted.T).T
+
+        if states.ndim == 1:
+            return predict(states, n_steps)
+        if states.ndim != 2 or np.ndim(n_steps) != 1 or len(n_steps) != len(states):
+            raise DimensionError(
+                f"expected one initial state or a stack of them with one step "
+                f"count each, got states {states.shape} and counts {n_steps!r}")
+        return [predict(x, count) for x, count in zip(states, n_steps)]
 
     def get_params(self) -> dict[str, np.ndarray]:
         """Named views of every trainable array (mutations write through)."""
@@ -266,10 +275,9 @@ class BoundModel:
         h = X
         last = len(mlp.weights) - 1
         for k in range(len(mlp.weights)):
-            h = ad.add_bias(ad.matmul(self.leaves[f"{prefix}.w{k}"], h),
-                            self.leaves[f"{prefix}.b{k}"])
-            if k < last:
-                h = ad.elementwise(h, mlp.activation)
+            h = ad.dense(self.leaves[f"{prefix}.w{k}"], h,
+                         self.leaves[f"{prefix}.b{k}"],
+                         mlp.activation if k < last else "identity")
         return h
 
     def encode(self, X: DiffValue) -> DiffValue:
@@ -463,6 +471,13 @@ def save_checkpoint(path, model: KoopmanModel,
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _parse_count(token: str, what: str, path: Path, line: int = 0) -> int:
+    if not token.isdecimal():
+        raise ParseError(f"{what} must be a non-negative integer, got {token!r}",
+                         path=path, line=line)
+    return int(token)
+
+
 def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
     """Inverse of save_checkpoint; bit-exact for every stored matrix."""
     path = Path(path)
@@ -488,7 +503,9 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
             if len(tokens) != 4:
                 raise ParseError("matrix line needs name, rows, cols",
                                  path=path, line=i)
-            name, rows, cols = tokens[1], int(tokens[2]), int(tokens[3])
+            name = tokens[1]
+            rows = _parse_count(tokens[2], f"matrix {name} rows", path, i)
+            cols = _parse_count(tokens[3], f"matrix {name} columns", path, i)
             block = []
             for r in range(rows):
                 try:
@@ -506,7 +523,7 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
             meta[tokens[0]] = line.split(None, 1)[1] if len(tokens) > 1 else ""
 
     def build_mlp(prefix: str) -> MlpParams:
-        count = int(meta[f"{prefix}-layers"])
+        count = _parse_count(meta[f"{prefix}-layers"], f"{prefix}-layers", path)
         try:
             weights = [matrices.pop(f"{prefix}.w{k}") for k in range(count)]
             biases = [matrices.pop(f"{prefix}.b{k}") for k in range(count)]

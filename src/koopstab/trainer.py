@@ -27,7 +27,7 @@ import numpy as np
 from .autodiff import Tape
 from .data import Dataset
 from .errors import ContractError, DataError, NumericError
-from .metrics import MetricsReport, build_report
+from .metrics import MetricsReport, build_report, nmse
 from .model import (
     BoundModel,
     KoopmanModel,
@@ -199,15 +199,16 @@ def _batches(trajs: list[np.ndarray], batch_size: int,
             for k in range(0, len(trajs), batch_size)]
 
 
+def _initial_states(trajs) -> tuple[np.ndarray, list[int]]:
+    """Stacked first states and the number of later steps of each trajectory."""
+    return (np.array([t.states[0] for t in trajs]),
+            [t.n_samples - 1 for t in trajs])
+
+
 def _val_nmse(model: KoopmanModel, dataset: Dataset) -> float:
-    preds, truths = [], []
-    for t in dataset.val:
-        preds.append(model.predict_states(t.states[0], t.n_samples - 1))
-        truths.append(t.states[1:])
-    errs = [float(np.mean(np.sum((p - x) ** 2, axis=1))
-                  / np.mean(np.sum((x - x.mean(axis=0)) ** 2, axis=1)))
-            for p, x in zip(preds, truths)]
-    return float(np.mean(errs))
+    val = dataset.val
+    return nmse(model.predict_states(*_initial_states(val)),
+                [t.states[1:] for t in val])
 
 
 def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
@@ -301,15 +302,11 @@ def evaluate(model: KoopmanModel, dataset: Dataset, split: str = "val",
     trajs = dataset.subset(split)
     if not trajs:
         raise DataError(f"split {split!r} is empty")
-    preds, truths = [], []
-    for t in trajs:
-        pred = model.predict_states(t.states[0], t.n_samples - 1)
-        truth = t.states[1:]
-        if source_units:
-            pred = dataset.preprocessing.invert(pred)
-            truth = dataset.preprocessing.invert(truth)
-        preds.append(pred)
-        truths.append(truth)
+    preds = model.predict_states(*_initial_states(trajs))
+    truths = [t.states[1:] for t in trajs]
+    if source_units:
+        preds = [dataset.preprocessing.invert(p) for p in preds]
+        truths = [dataset.preprocessing.invert(x) for x in truths]
     return build_report(
         preds, truths,
         spectral_radius=spectral_radius(model.effective_matrix()),

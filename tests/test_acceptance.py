@@ -138,6 +138,12 @@ def _op_cases(rng):
     kinkless = rng.normal(size=(3, 4))
     kinkless += 0.2 * np.sign(kinkless)  # keep relu inputs off the kink
     idx = rng.integers(0, 4, size=6)
+    # dense relu inputs whose pre-activations stay off the kink: positive
+    # x, rows of w of one sign each, and a bias smaller than every |w @ x|
+    # (>= 4 * 0.2 * 0.2); derived without drawing, so the stream is unchanged
+    pos_x = np.abs(b) + 0.2
+    signed_w = (np.abs(a) + 0.2) * np.array([[1.0], [-1.0], [1.0]])
+    small_bias = 0.1 * np.tanh(bias)
     return [
         ("matmul", (a, b), lambda xs: ad.matmul(xs[0], xs[1])),
         ("matinv", (square,), lambda xs: ad.matinv(xs[0])),
@@ -150,6 +156,11 @@ def _op_cases(rng):
         ("identity", (a,), lambda xs: ad.elementwise(xs[0], "identity")),
         ("sum_sq_norm", (a,), lambda xs: xs[0]),
         ("gather_cols", (a,), lambda xs: ad.gather_cols(xs[0], idx)),
+        ("dense_tanh", (a, b, bias), lambda xs: ad.dense(xs[0], xs[1], xs[2], "tanh")),
+        ("dense_relu", (signed_w, pos_x, small_bias),
+         lambda xs: ad.dense(xs[0], xs[1], xs[2], "relu")),
+        ("dense_identity", (a, b, bias),
+         lambda xs: ad.dense(xs[0], xs[1], xs[2], "identity")),
     ]
 
 

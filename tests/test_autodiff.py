@@ -253,6 +253,31 @@ def test_replay_is_deterministic():
     assert np.array_equal(gb1, gb2)
 
 
+# -------------------------------------------------------- fused layer op
+
+@pytest.mark.parametrize("fn", ["tanh", "relu", "identity"])
+def test_dense_equals_the_matmul_add_bias_elementwise_chain(fn):
+    rng = np.random.default_rng(12)
+    w0 = rng.standard_normal((5, 4))
+    x0 = rng.standard_normal((4, 7))
+    b0 = rng.standard_normal((5, 1))
+    c0 = rng.standard_normal((3, 5))  # makes the output gradient unlike the value
+
+    def run(layer):
+        tape = ad.Tape()
+        w, x, b = tape.leaf(w0), tape.leaf(x0), tape.leaf(b0)
+        out = layer(w, x, b)
+        tape.backward(ad.sum_sq_norm(ad.matmul(tape.leaf(c0), out)))
+        return [out.value, w.grad, x.grad, b.grad], [w.value, x.value, b.value]
+
+    fused, fused_inputs = run(lambda w, x, b: ad.dense(w, x, b, fn))
+    chain, _ = run(lambda w, x, b: ad.elementwise(ad.add_bias(ad.matmul(w, x), b), fn))
+    for got, want in zip(fused, chain):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(fused_inputs, (w0, x0, b0)):
+        np.testing.assert_array_equal(got, want)  # forward and backward write no input
+
+
 # ----------------------------------------------------- tape lifetime, fan-out
 
 def test_backward_releases_the_step_without_the_cycle_collector():
@@ -319,6 +344,10 @@ def test_shape_mismatches_raise_dimension_error():
         ad.matinv(a)
     with pytest.raises(DimensionError):
         ad.add_bias(a, tape.leaf(np.ones((3, 1))))
+    with pytest.raises(DimensionError):
+        ad.dense(a, b, tape.leaf(np.ones((2, 1))), "tanh")
+    with pytest.raises(DimensionError):
+        ad.dense(a, tape.leaf(np.ones((3, 4))), tape.leaf(np.ones((3, 1))), "tanh")
 
 
 def test_singular_and_ill_conditioned_inputs_refused():
@@ -348,3 +377,5 @@ def test_backward_contract_errors():
         tape.leaf([[np.nan, 0.0]])
     with pytest.raises(ContractError):
         ad.elementwise(x, "sigmoid")
+    with pytest.raises(ContractError):
+        ad.dense(x, x, tape.leaf(np.ones((2, 1))), "sigmoid")

@@ -142,6 +142,33 @@ class TestTrainCommand:
         assert "alpha" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key, value", [("lift_dim", 0), ("hidden", "6, 0")])
+    def test_empty_layer_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_dictionary_key_is_unknown_to_train(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dictionary="monomials:2")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "dictionary" in capsys.readouterr().err
+
+    def test_zero_variance_validation_trajectory_exits_3(self, tmp_path, capsys):
+        from koopstab.data import Trajectory, synth_stable_spiral, write_trajectory_csv
+        data_dir = tmp_path / "trajs"
+        data_dir.mkdir()
+        for k, t in enumerate(synth_stable_spiral(n_traj=2, length=20, seed=5,
+                                                           n_val=0).trajectories):
+            write_trajectory_csv(data_dir / f"t{k}.csv", t)
+        flat = Trajectory(times=np.arange(20) * 0.1, states=np.zeros((20, 2)))
+        write_trajectory_csv(data_dir / "t2.csv", flat)  # sorts last: the val split
+        # scored while training only: the final report reads the train split
+        cfg = write_config(tmp_path, data=str(data_dir), dt=0, center="false",
+                           epochs=2, early_stop="true", eval_split="train")
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "zero variance" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_identity_certified_exit_0(self, tmp_path, capsys):
         path = tmp_path / "k.csv"
@@ -243,6 +270,14 @@ class TestEvalCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "nmse" in out.lower()
+
+    def test_non_integer_layer_count_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        ckpt.write_text(ckpt.read_text().replace("encoder-layers 2", "encoder-layers x"))
+        assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
+        assert "encoder-layers" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code = main(["eval", str(tmp_path / "no.ckpt"), "synth:spiral"])

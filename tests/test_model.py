@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koopstab.autodiff import Tape
-from koopstab.data import Preprocessing
+from koopstab.data import Preprocessing, synth_handwriting_like
 from koopstab.errors import (
     ContractError,
     DataError,
@@ -195,6 +195,19 @@ class TestRollout:
         expected = np.array([A @ x0, A @ A @ x0, A @ A @ A @ x0])
         np.testing.assert_allclose(pred, expected, atol=1e-12)
 
+    def test_stacked_initial_states_match_single_predictions(self):
+        rng = np.random.default_rng(53)
+        m = tiny_model(seed=5)
+        starts = rng.normal(size=(3, 2))
+        stacked = m.predict_states(starts, [4, 1, 6])
+        assert len(stacked) == 3
+        for x0, count, pred in zip(starts, [4, 1, 6], stacked):
+            np.testing.assert_array_equal(pred, m.predict_states(x0, count))
+        with pytest.raises(DimensionError):
+            m.predict_states(starts, [4, 1])
+        with pytest.raises(DimensionError):
+            m.predict_states(starts, 4)
+
     def test_bad_horizon_rejected(self):
         with pytest.raises(ContractError):
             tiny_model().rollout(np.zeros(3), 0)
@@ -321,6 +334,15 @@ class TestSlidingWindowLoss:
             assert rel_err(bound_fast.leaves[name].grad,
                            bound_slow.leaves[name].grad) <= 1e-9
 
+    def test_criterion_09_shape_records_one_node_per_layer(self):
+        """Each MLP layer is one node: 4 encoder and 11 x 4 decoder layers of 139."""
+        dataset = synth_handwriting_like(seed=7)
+        m = KoopmanModel.init(n=dataset.dim, d=20, hidden=(50, 50, 50), seed=7)
+        tape = Tape()
+        sliding_window_loss(BoundModel(tape, m), [t.states for t in dataset.train],
+                            LossWeights(horizon=10))
+        assert len(tape) == 139
+
     def test_effective_matrix_is_computed_once_per_tape(self):
         m = tiny_model()
         bound = BoundModel(Tape(), m)
@@ -385,6 +407,18 @@ class TestCheckpoint:
         save_checkpoint(path, tiny_model(seed=14))
         text = path.read_text().replace("matrix K 3 3", "matrix K2 3 3")
         path.write_text(text)
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new", [
+        ("encoder-layers 2", "encoder-layers x"),
+        ("decoder-layers 2", "decoder-layers -1"),
+        ("matrix K 3 3", "matrix K three 3"),
+    ])
+    def test_bad_count_rejected(self, tmp_path, old, new):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(seed=16))
+        path.write_text(path.read_text().replace(old, new))
         with pytest.raises(ParseError):
             load_checkpoint(path)
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from koopstab.data import synth_stable_spiral
-from koopstab.errors import ContractError, DataError, NumericError
+from koopstab.data import Trajectory, synth_stable_spiral
+from koopstab.errors import ContractError, DataError, DegenerateDataError, NumericError
 from koopstab.model import KoopmanModel, LossWeights, MlpParams, load_checkpoint
 from koopstab.stability import barrier_values, certify_stable
 from koopstab.trainer import (
@@ -196,6 +196,28 @@ class TestTrainLoop:
         history = train(model, dataset, config)
         assert len(history) < 300
         assert np.isfinite(history.records[-1].val_nmse)
+
+    def test_validation_forms_the_effective_matrix_once_per_pass(self, monkeypatch):
+        calls = []
+        original = KoopmanModel.effective_matrix
+
+        def counting(model):
+            calls.append(1)
+            return original(model)
+
+        monkeypatch.setattr(KoopmanModel, "effective_matrix", counting)
+        dataset = synth_stable_spiral(n_traj=5, length=20, seed=20, n_val=3)
+        train(small_model(), dataset, small_config(epochs=4, early_stop=True))
+        assert len(calls) == 4  # one pass over the three trajectories per step
+
+    def test_zero_variance_validation_trajectory_raises(self):
+        dataset = small_dataset()
+        flat = Trajectory(times=np.arange(20) * 0.1, states=np.zeros((20, 2)))
+        degenerate = type(dataset)(trajectories=dataset.trajectories + (flat,),
+                                   split=dataset.split + ("val",),
+                                   preprocessing=dataset.preprocessing)
+        with pytest.raises(DegenerateDataError):
+            train(small_model(), degenerate, small_config(epochs=2, early_stop=True))
 
     def test_checkpointing_preserves_latest_state(self, tmp_path):
         model = small_model()
