@@ -46,26 +46,18 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
     sliding_window_loss,
-    total_loss,
 )
 from .projection import (
     barrier_threshold,
-    brute_force_row_qp,
     pgd_project,
     project_row,
-    project_row_asymmetric,
-    project_row_symmetric,
 )
 from .stability import (
     BarrierReport,
     Certificate,
-    Polyhedron,
     barrier_values,
     certify_stable,
-    inward_pointing_check,
-    scale_set,
     spectral_radius,
-    unit_hypercube,
 )
 from .trainer import TrainConfig, TrainHistory, adam_step, evaluate, train
 
@@ -88,7 +80,6 @@ __all__ = [
     "MlpParams",
     "NumericError",
     "ParseError",
-    "Polyhedron",
     "Preprocessing",
     "SingularMatrixError",
     "SnapshotPair",
@@ -100,13 +91,11 @@ __all__ = [
     "assign_split",
     "barrier_threshold",
     "barrier_values",
-    "brute_force_row_qp",
     "build_report",
     "center_to_equilibrium",
     "certify_stable",
     "edmd_fit",
     "evaluate",
-    "inward_pointing_check",
     "lift_dataset",
     "load_checkpoint",
     "load_manifest",
@@ -118,19 +107,14 @@ __all__ = [
     "normalize",
     "pgd_project",
     "project_row",
-    "project_row_asymmetric",
-    "project_row_symmetric",
     "resample",
     "resample_dataset",
     "save_checkpoint",
-    "scale_set",
     "sliding_window_loss",
     "spectral_radius",
     "synth_handwriting_like",
     "synth_stable_spiral",
-    "total_loss",
     "train",
-    "unit_hypercube",
     "write_manifest",
     "write_trajectory_csv",
 ]

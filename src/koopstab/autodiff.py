@@ -105,10 +105,6 @@ class Tape:
             raise ContractError("leaf values must be finite")
         return DiffValue(arr, self)
 
-    # Data that never needs a gradient still lives on the tape as a leaf;
-    # its gradient is simply ignored.
-    constant = leaf
-
     def _record(self, out: DiffValue, parents: Sequence[DiffValue],
                 backward_fn: Callable[[np.ndarray], tuple]) -> DiffValue:
         self._nodes.append(_Node(out, tuple(parents), backward_fn))

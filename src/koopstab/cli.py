@@ -6,11 +6,13 @@ comment); every key has a documented default and unknown keys are rejected,
 so a config file diff always tells the whole story. Exit codes follow one
 contract across commands: 0 success (for ``verify``: certified), 1
 certification refused, 2 usage/parse/configuration errors, 3 numeric
-failures (non-finite loss, singular basis, degenerate data).
+failures (non-finite loss, singular basis, degenerate data), 4 internal
+error (any other exception; the traceback goes to stderr).
 
-The same config and seed produce byte-identical artifacts: every float is
-written with ``repr`` or a fixed format and no artifact records wall-clock
-time.
+With a fixed BLAS thread count (e.g. ``OPENBLAS_NUM_THREADS=1``), the same
+config and seed produce byte-identical artifacts: every float is written
+with ``repr`` or a fixed format and no artifact records wall-clock time.
+Different thread counts may sum in a different order and change the bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import traceback
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -383,9 +386,14 @@ def main(argv=None) -> int:
     except (NumericError, SingularMatrixError, DegenerateDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ContractError, DimensionError, DataError, OSError) as exc:
+    except (ConfigError, ContractError, DimensionError, DataError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # never 1: that code means "certification refused"
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

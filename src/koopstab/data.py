@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -378,8 +378,3 @@ def write_manifest(path, entries: Iterable[tuple[str, str]]) -> None:
     path = Path(path)
     lines = [f"{entry},{label}" for entry, label in entries]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def states_list(trajectories: Sequence[Trajectory]) -> list[np.ndarray]:
-    """Row-stacked state arrays, the layout the lifting helpers consume."""
-    return [t.states for t in trajectories]

@@ -83,7 +83,11 @@ def _resolve_dictionary(dictionary: Dictionary) -> Callable[[np.ndarray], np.nda
     if dictionary == "identity":
         return lambda X: X
     if isinstance(dictionary, str) and dictionary.startswith("monomials:"):
-        degree = int(dictionary.split(":", 1)[1])
+        try:
+            degree = int(dictionary.split(":", 1)[1])
+        except ValueError:
+            raise ContractError(
+                f"monomial degree must be an integer in {dictionary!r}") from None
         return lambda X: monomial_features(X, degree)
     raise ContractError(
         f"unknown dictionary {dictionary!r}; expected 'identity', 'monomials:<p>' "

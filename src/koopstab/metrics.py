@@ -51,7 +51,9 @@ def _as_pairs(predicted, truth) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _truth_variance(x: np.ndarray, k: int) -> float:
     var = float(np.mean(np.sum((x - x.mean(axis=0)) ** 2, axis=1)))
-    if var == 0.0:
+    # a constant trajectory keeps a variance of rounding size, not exactly 0
+    rounding = (x.shape[0] * np.finfo(np.float64).eps) ** 2
+    if var <= rounding * float(np.mean(np.sum(x * x, axis=1))):
         raise DegenerateDataError(
             f"trajectory {k}: truth has zero variance, metric undefined")
     return var

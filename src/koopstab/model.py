@@ -13,12 +13,11 @@ Losses follow the squared-L2 convention. For one trajectory x_0..x_T:
     lin(H)  = sum_{k=1..H} ||psi_e(x_k) - (S^-1 K S)^k psi_e(x_0)||^2
     rec     = sum_k ||x_k - psi_d(psi_e(x_k))||^2   (all samples)
 
-``total_loss`` averages the weighted sum over a batch of trajectories.
-``sliding_window_loss`` is the training objective: it treats every length
-H+1 window (stride 1) of every trajectory as a batch element and evaluates
-all of them in one stacked pass, which is algebraically identical to
-``total_loss`` over the explicit windows but runs as a handful of matrix
-products instead of a Python loop per window.
+``sliding_window_loss`` is the training objective: the weighted sum
+averaged over every length H+1 window (stride 1) of every trajectory,
+evaluated for all windows in one stacked pass, so it runs as a handful of
+matrix products instead of a Python loop per window. The test suite checks
+it against a per-window, per-step reference loss.
 
 Checkpoints are self-describing text: layer sizes, activation kinds, every
 matrix with repr-exact floats, plus optional preprocessing record and config
@@ -27,7 +26,7 @@ key/value pairs. Round-trips are bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -311,71 +310,10 @@ def _check_horizon(T: int, horizon: int) -> None:
             f"trajectory has {T} samples, need {horizon + 1} for horizon {horizon}")
 
 
-def loss_pred(bound: BoundModel, states, horizon: int) -> DiffValue:
-    """Squared decoded-prediction error over steps 1..horizon from x_0."""
-    X = _states_matrix(states)
-    _check_horizon(X.shape[0], horizon)
-    z = bound.encode(bound.tape.leaf(X[0:1].T))
-    Keff = bound.effective()
-    total = None
-    for k in range(1, horizon + 1):
-        z = ad.matmul(Keff, z)
-        err = ad.sub(bound.decode(z), bound.tape.leaf(X[k:k + 1].T))
-        term = ad.sum_sq_norm(err)
-        total = term if total is None else ad.add(total, term)
-    return total
-
-
-def loss_lin(bound: BoundModel, states, horizon: int) -> DiffValue:
-    """Squared lifted-linearity error over steps 1..horizon from x_0."""
-    X = _states_matrix(states)
-    _check_horizon(X.shape[0], horizon)
-    Psi = bound.encode(bound.tape.leaf(X[:horizon + 1].T))
-    z = ad.gather_cols(Psi, [0])
-    Keff = bound.effective()
-    total = None
-    for k in range(1, horizon + 1):
-        z = ad.matmul(Keff, z)
-        term = ad.sum_sq_norm(ad.sub(ad.gather_cols(Psi, [k]), z))
-        total = term if total is None else ad.add(total, term)
-    return total
-
-
-def loss_rec(bound: BoundModel, states) -> DiffValue:
-    """Squared autoencoding error over every sample of the trajectory."""
-    X = _states_matrix(states)
-    if X.shape[0] < 1:
-        raise DataError("reconstruction loss needs at least one sample")
-    leaf = bound.tape.leaf(X.T)
-    return ad.sum_sq_norm(ad.sub(bound.decode(bound.encode(leaf)), leaf))
-
-
-def total_loss(bound: BoundModel, batch: Sequence, weights: LossWeights) -> DiffValue:
-    """Weighted loss averaged over the batch trajectories."""
-    if len(batch) == 0:
-        raise DataError("empty batch")
-    total = None
-    for states in batch:
-        parts = []
-        if weights.pred > 0.0:
-            parts.append(ad.scale(loss_pred(bound, states, weights.horizon),
-                                  weights.pred))
-        if weights.lin > 0.0:
-            parts.append(ad.scale(loss_lin(bound, states, weights.horizon),
-                                  weights.lin))
-        if weights.rec > 0.0:
-            parts.append(ad.scale(loss_rec(bound, states), weights.rec))
-        item = parts[0]
-        for p in parts[1:]:
-            item = ad.add(item, p)
-        total = item if total is None else ad.add(total, item)
-    return ad.scale(total, 1.0 / len(batch))
-
-
 def sliding_window_loss(bound: BoundModel, batch: Sequence,
                         weights: LossWeights,
                         components: dict | None = None) -> DiffValue:
-    """total_loss over every stride-1 window of length horizon+1, batched.
+    """Weighted loss averaged over every stride-1 window of length horizon+1.
 
     All window starts advance through the lifted dynamics together as one
     column-stacked matrix, and lifted targets are gathered from a single
@@ -517,6 +455,9 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
                     raise ParseError(f"matrix {name} row {r}: expected {cols} "
                                      f"values, got {len(block[-1])}",
                                      path=path, line=i + r + 1)
+                if not np.all(np.isfinite(block[-1])):
+                    raise ParseError(f"matrix {name} row {r}: entries must be finite",
+                                     path=path, line=i + r + 1)
             matrices[name] = np.array(block)
             i += rows
         else:
@@ -540,9 +481,16 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
     except KeyError as exc:
         raise ParseError(f"missing matrix {exc.args[0]}", path=path) from None
     model = KoopmanModel(encoder=encoder, decoder=decoder, K=K, S=S)
-    dt = float(meta["preproc-dt"]) if "preproc-dt" in meta else None
+    try:
+        dt = float(meta["preproc-dt"]) if "preproc-dt" in meta else None
+    except ValueError:
+        raise ParseError(f"preproc-dt must be a number, got {meta['preproc-dt']!r}",
+                         path=path) from None
     offset = matrices.pop("preproc.offset", None)
     scale = matrices.pop("preproc.scale", None)
+    for name, arr in (("offset", offset), ("scale", scale)):
+        if arr is not None and arr.shape != (1, model.n):
+            raise ParseError(f"preproc.{name} must be 1 x {model.n}", path=path)
     preprocessing = Preprocessing(
         dt=dt,
         offset=offset[0] if offset is not None else None,

@@ -25,20 +25,17 @@ rows that already satisfy the stability condition must keep satisfying it,
 while infeasible rows are only required not to regress (and, for
 alpha < 1, to approach the feasible set geometrically).
 
-``brute_force_row_qp`` solves the same row problems by enumerating support
-patterns; it exists purely as an independent test oracle.
+``project_row`` is the one entry to both row projections; ``pgd_project``
+applies it to every row that misses its threshold. The test suite checks it
+against a brute-force support-pattern enumeration of the same row problems.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
 from .stability import barrier_values
-
-FEASIBILITY_TOL = 1e-9
 
 
 def barrier_threshold(h_prev: float, alpha: float) -> float:
@@ -58,7 +55,10 @@ def _l1_project(y: np.ndarray, radius: float) -> np.ndarray:
     u = np.sort(mags)[::-1]
     cumulative = np.cumsum(u)
     counts = np.arange(1, y.size + 1)
-    rho = np.nonzero(u * counts > cumulative - radius)[0][-1]
+    # index 0 always qualifies in exact arithmetic, but rounding loses it
+    # when the entries dwarf the radius
+    hits = np.nonzero(u * counts > cumulative - radius)[0]
+    rho = hits[-1] if hits.size else 0
     theta = (cumulative[rho] - radius) / (rho + 1.0)
     x = np.sign(y) * np.maximum(mags - theta, 0.0)
     # float roundoff can leave the result a few ulp outside; rescale down
@@ -99,38 +99,24 @@ def _asym_project(y: np.ndarray, i: int, radius: float) -> np.ndarray:
     return x
 
 
-def _check_row(y, i: int) -> np.ndarray:
+def project_row(y, i: int, tau: float, mode: str) -> np.ndarray:
+    """Euclidean projection of row ``i`` onto its barrier set at threshold tau.
+
+    ``mode='symmetric'`` enforces both branches, an L1 ball of radius
+    1 - tau (the row index is validated, though the ball does not depend on
+    it); ``mode='asymmetric'`` enforces 'sum_{j != i} |x_j| - x_i <= 1 - tau'.
+    """
     y = np.asarray(y, dtype=np.float64).ravel()
     if not 0 <= i < y.size:
         raise DimensionError(f"row index {i} out of range for length {y.size}")
-    return y
-
-
-def project_row_symmetric(y, i: int, tau: float) -> np.ndarray:
-    """Project a row onto both barrier branches at threshold tau.
-
-    The joint constraint is index-independent (an L1 ball of radius
-    1 - tau); the row index is validated for interface symmetry with the
-    asymmetric mode.
-    """
-    y = _check_row(y, i)
     radius = 1.0 - tau
-    if radius <= 0.0:
-        raise ContractError(f"threshold {tau} leaves an empty interior (1 - tau <= 0)")
-    return _l1_project(y, radius)
-
-
-def project_row_asymmetric(y, i: int, tau: float) -> np.ndarray:
-    """Project a row onto the single branch 'sum_{j != i} |x_j| - x_i <= 1 - tau'."""
-    y = _check_row(y, i)
-    return _asym_project(y, i, 1.0 - tau)
-
-
-def project_row(y, i: int, tau: float, mode: str) -> np.ndarray:
     if mode == "symmetric":
-        return project_row_symmetric(y, i, tau)
+        if radius <= 0.0:
+            raise ContractError(
+                f"threshold {tau} leaves an empty interior (1 - tau <= 0)")
+        return _l1_project(y, radius)
     if mode == "asymmetric":
-        return project_row_asymmetric(y, i, tau)
+        return _asym_project(y, i, radius)
     raise ContractError(f"unknown projection mode {mode!r}")
 
 
@@ -175,11 +161,7 @@ def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
         if _row_h(row, i, mode) >= target:
             out[i] = row
             continue
-        radius = 1.0 - tau - margin
-        if mode == "symmetric":
-            x = _l1_project(row, radius)
-        else:
-            x = _asym_project(row, i, radius)
+        x = project_row(row, i, target, mode)
         # scaling a row toward 0 raises h by (1 - h) per unit shrink, so a
         # relative 1e-12 nudge absorbs any ulp-level shortfall left by the
         # projection's own rounding
@@ -192,61 +174,3 @@ def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
                 f"row {i}: projection failed to reach barrier target {target}")
         out[i] = x
     return out
-
-
-def _pattern_candidates(y: np.ndarray, coeff_rows: np.ndarray, free: np.ndarray,
-                        radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Equality-constrained minimizers x = y - nu*a over all support patterns.
-
-    ``coeff_rows`` holds the active-constraint gradient per pattern (zeros on
-    the pattern's fixed coordinates), ``free`` its support mask. Returns the
-    stacked candidates and their multipliers.
-    """
-    weight = (coeff_rows * coeff_rows).sum(axis=1)
-    nu = (coeff_rows @ y - radius) / weight
-    x = (y[None, :] - nu[:, None] * coeff_rows) * free
-    return x, nu
-
-
-def brute_force_row_qp(y, i: int, tau: float, mode: str = "symmetric") -> np.ndarray:
-    """Row projection by exhaustive support-pattern enumeration (test oracle).
-
-    Every candidate solution has some sign/zero pattern; for each of the
-    3^k patterns the constraint restricted to the pattern is linear, so the
-    active-set minimizer is closed-form. The optimum is the closest
-    feasible candidate. Exponential in d; intended for d <= 8.
-    """
-    y = _check_row(y, i)
-    d = y.size
-    radius = 1.0 - tau
-    if mode not in ("symmetric", "asymmetric"):
-        raise ContractError(f"unknown projection mode {mode!r}")
-
-    if mode == "symmetric":
-        if np.abs(y).sum() <= radius:
-            return y.copy()
-        signs = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d)))
-        signs = signs[np.any(signs != 0.0, axis=1)]
-        free = signs != 0.0
-        candidates, _ = _pattern_candidates(y, signs, free, radius)
-        sign_ok = np.all(signs * candidates >= -1e-12, axis=1)
-        feasible = np.abs(candidates).sum(axis=1) <= radius + FEASIBILITY_TOL
-    else:
-        if np.abs(np.delete(y, i)).sum() - y[i] <= radius:
-            return y.copy()
-        others = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d - 1)))
-        signs = np.insert(others, i, -1.0, axis=1)
-        free = signs != 0.0
-        candidates, _ = _pattern_candidates(y, signs, free, radius)
-        other_mask = np.ones(d, dtype=bool)
-        other_mask[i] = False
-        sign_ok = np.all((signs * candidates)[:, other_mask] >= -1e-12, axis=1)
-        feasible = (np.abs(candidates[:, other_mask]).sum(axis=1)
-                    - candidates[:, i]) <= radius + FEASIBILITY_TOL
-
-    valid = sign_ok & feasible
-    if not valid.any():
-        raise NumericError("brute-force oracle found no feasible candidate")
-    dist = ((candidates - y[None, :]) ** 2).sum(axis=1)
-    dist[~valid] = np.inf
-    return candidates[int(np.argmin(dist))]

@@ -1,4 +1,4 @@
-"""Row-decoupled stability certificates and polyhedral invariance checks.
+"""Row-decoupled stability certificates.
 
 A square matrix K is certified stable when every row satisfies the pair of
 piecewise-linear inequalities
@@ -10,23 +10,17 @@ which together say the row absolute sum is at most 1, i.e. the map keeps
 the unit hypercube forward-invariant. The condition is sufficient, not
 necessary: it implies ||K||_inf <= 1 and hence spectral radius <= 1, but
 Schur-stable matrices exist that violate it (see the tests for a nilpotent
-witness).
-
-The general polyhedral machinery (scaled sets, inward-pointing fields on a
-vertex-listed polytope) mirrors the hypercube special case and is used to
-cross-check it.
+witness). The test suite cross-checks the certificate against a vertex-wise
+forward-invariance check of the hypercube.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
-
-MEMBERSHIP_TOL = 1e-9
 
 _DENSE_EIG_LIMIT = 64
 
@@ -129,97 +123,3 @@ def spectral_radius(K, max_iter: int = 100_000) -> float:
     except (ArpackNoConvergence, ArpackError) as exc:
         raise NumericError(f"spectral radius iteration failed: {exc}") from exc
     return float(np.max(np.abs(vals)))
-
-
-@dataclass
-class Polyhedron:
-    """H-representation ``{x : A x <= b}`` with an optional vertex list."""
-
-    A: np.ndarray
-    b: np.ndarray
-    vertices: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64).ravel()
-        if self.A.ndim != 2 or self.A.shape[0] != self.b.size:
-            raise DimensionError(
-                f"A is {self.A.shape} but b has {self.b.size} entries")
-        if self.vertices is not None:
-            self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=np.float64))
-            if self.vertices.shape[1] != self.dim:
-                raise DimensionError("vertex dimension does not match A")
-            slack = self.vertices @ self.A.T - self.b
-            if slack.max(initial=-np.inf) > MEMBERSHIP_TOL:
-                raise ContractError(
-                    f"listed vertex violates constraints by {slack.max():.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[1]
-
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        return bool(np.all(self.A @ x <= self.b + tol))
-
-
-def unit_hypercube(d: int, with_vertices: bool = True) -> Polyhedron:
-    """The axis-aligned hypercube [-1, 1]^d.
-
-    Constraint rows come in (+e_i, -e_i) pairs; vertices, when requested,
-    enumerate sign patterns in lexicographic order starting at (-1,...,-1).
-    Vertex count is 2^d, so keep d modest when asking for them.
-    """
-    A = np.vstack([np.eye(d), -np.eye(d)])
-    b = np.ones(2 * d)
-    vertices = None
-    if with_vertices:
-        grid = np.meshgrid(*([np.array([-1.0, 1.0])] * d), indexing="ij")
-        vertices = np.stack([g.ravel() for g in grid], axis=1)
-    return Polyhedron(A, b, vertices)
-
-
-def scale_set(C: Polyhedron, s: float) -> Polyhedron:
-    """Scale an origin-containing polyhedron: ``sC = {x : A x <= s b}``."""
-    if s < 0:
-        raise ContractError(f"scale must be nonnegative, got {s}")
-    if np.any(C.b < 0):
-        raise ContractError("scaling requires an origin-containing set (b >= 0)")
-    vertices = None if C.vertices is None else s * C.vertices
-    return Polyhedron(C.A, s * C.b, vertices)
-
-
-@dataclass
-class InwardPointingResult:
-    ok: bool
-    vertex: Optional[np.ndarray] = None
-    constraint_index: Optional[int] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def inward_pointing_check(C: Polyhedron, A) -> InwardPointingResult:
-    """Decide whether the linear field ``x -> A x`` maps C into itself.
-
-    For a bounded polytope given by its complete vertex list this is
-    equivalent to checking the image of every vertex (the image of a convex
-    set under a linear map is the convex hull of the vertex images). On
-    failure the witness is the first vertex, in listed order, whose image
-    leaves C, together with the index of the violated constraint row.
-    """
-    if C.vertices is None or len(C.vertices) == 0:
-        raise ContractError("inward_pointing_check needs the complete vertex list")
-    if np.any(C.b <= 0):
-        raise ContractError("set must contain the origin strictly (all b > 0)")
-    A = _check_square(A)
-    if A.shape[0] != C.dim:
-        raise DimensionError(f"field is {A.shape}, set lives in dimension {C.dim}")
-    images = C.vertices @ A.T
-    slack = images @ C.A.T - C.b
-    bad = np.argwhere(slack > MEMBERSHIP_TOL)
-    if bad.size == 0:
-        return InwardPointingResult(ok=True)
-    v_idx, c_idx = bad[0]
-    return InwardPointingResult(ok=False, vertex=C.vertices[v_idx].copy(),
-                                constraint_index=int(c_idx))

@@ -1,7 +1,31 @@
-"""Shared test oracles: finite differences and matrix construction."""
+"""Shared test oracles: finite differences, matrix construction, and the
+reference implementations the package's fast paths are checked against.
+
+* ``total_loss`` and its three terms evaluate the training loss one
+  trajectory and one step at a time; ``sliding_window_loss`` must agree with
+  it over the explicit windows.
+* ``brute_force_row_qp`` solves the row projections by enumerating support
+  patterns; ``project_row`` must agree with it.
+* ``Polyhedron``, ``unit_hypercube``, ``scale_set`` and
+  ``inward_pointing_check`` decide forward invariance of a vertex-listed
+  polytope, which the hypercube certificate must agree with.
+"""
+
+import itertools
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from koopstab import autodiff as ad
+from koopstab.autodiff import DiffValue
+from koopstab.errors import ContractError, DataError, DimensionError, NumericError
+from koopstab.model import BoundModel, LossWeights, _check_horizon, _states_matrix
+from koopstab.stability import _check_square
+
+FEASIBILITY_TOL = 1e-9
+MEMBERSHIP_TOL = 1e-9
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -45,3 +69,224 @@ def eig_match_distance(A, B):
     cost = np.abs(ea[:, None] - eb[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+# ------------------------------------------------ loss oracle
+
+def loss_pred(bound: BoundModel, states, horizon: int) -> DiffValue:
+    """Squared decoded-prediction error over steps 1..horizon from x_0."""
+    X = _states_matrix(states)
+    _check_horizon(X.shape[0], horizon)
+    z = bound.encode(bound.tape.leaf(X[0:1].T))
+    Keff = bound.effective()
+    total = None
+    for k in range(1, horizon + 1):
+        z = ad.matmul(Keff, z)
+        err = ad.sub(bound.decode(z), bound.tape.leaf(X[k:k + 1].T))
+        term = ad.sum_sq_norm(err)
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def loss_lin(bound: BoundModel, states, horizon: int) -> DiffValue:
+    """Squared lifted-linearity error over steps 1..horizon from x_0."""
+    X = _states_matrix(states)
+    _check_horizon(X.shape[0], horizon)
+    Psi = bound.encode(bound.tape.leaf(X[:horizon + 1].T))
+    z = ad.gather_cols(Psi, [0])
+    Keff = bound.effective()
+    total = None
+    for k in range(1, horizon + 1):
+        z = ad.matmul(Keff, z)
+        term = ad.sum_sq_norm(ad.sub(ad.gather_cols(Psi, [k]), z))
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def loss_rec(bound: BoundModel, states) -> DiffValue:
+    """Squared autoencoding error over every sample of the trajectory."""
+    X = _states_matrix(states)
+    if X.shape[0] < 1:
+        raise DataError("reconstruction loss needs at least one sample")
+    leaf = bound.tape.leaf(X.T)
+    return ad.sum_sq_norm(ad.sub(bound.decode(bound.encode(leaf)), leaf))
+
+
+def total_loss(bound: BoundModel, batch: Sequence, weights: LossWeights) -> DiffValue:
+    """Weighted loss averaged over the batch trajectories."""
+    if len(batch) == 0:
+        raise DataError("empty batch")
+    total = None
+    for states in batch:
+        parts = []
+        if weights.pred > 0.0:
+            parts.append(ad.scale(loss_pred(bound, states, weights.horizon),
+                                  weights.pred))
+        if weights.lin > 0.0:
+            parts.append(ad.scale(loss_lin(bound, states, weights.horizon),
+                                  weights.lin))
+        if weights.rec > 0.0:
+            parts.append(ad.scale(loss_rec(bound, states), weights.rec))
+        item = parts[0]
+        for p in parts[1:]:
+            item = ad.add(item, p)
+        total = item if total is None else ad.add(total, item)
+    return ad.scale(total, 1.0 / len(batch))
+
+
+# --------------------------------------- row projection oracle
+
+def _pattern_candidates(y: np.ndarray, coeff_rows: np.ndarray, free: np.ndarray,
+                        radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Equality-constrained minimizers x = y - nu*a over all support patterns.
+
+    ``coeff_rows`` holds the active-constraint gradient per pattern (zeros on
+    the pattern's fixed coordinates), ``free`` its support mask. Returns the
+    stacked candidates and their multipliers.
+    """
+    weight = (coeff_rows * coeff_rows).sum(axis=1)
+    nu = (coeff_rows @ y - radius) / weight
+    x = (y[None, :] - nu[:, None] * coeff_rows) * free
+    return x, nu
+
+
+def brute_force_row_qp(y, i: int, tau: float, mode: str = "symmetric") -> np.ndarray:
+    """Row projection by exhaustive support-pattern enumeration (test oracle).
+
+    Every candidate solution has some sign/zero pattern; for each of the
+    3^k patterns the constraint restricted to the pattern is linear, so the
+    active-set minimizer is closed-form. The optimum is the closest
+    feasible candidate. Exponential in d; intended for d <= 8.
+    """
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if not 0 <= i < y.size:
+        raise DimensionError(f"row index {i} out of range for length {y.size}")
+    d = y.size
+    radius = 1.0 - tau
+    if mode not in ("symmetric", "asymmetric"):
+        raise ContractError(f"unknown projection mode {mode!r}")
+
+    if mode == "symmetric":
+        if np.abs(y).sum() <= radius:
+            return y.copy()
+        signs = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d)))
+        signs = signs[np.any(signs != 0.0, axis=1)]
+        free = signs != 0.0
+        candidates, _ = _pattern_candidates(y, signs, free, radius)
+        sign_ok = np.all(signs * candidates >= -1e-12, axis=1)
+        feasible = np.abs(candidates).sum(axis=1) <= radius + FEASIBILITY_TOL
+    else:
+        if np.abs(np.delete(y, i)).sum() - y[i] <= radius:
+            return y.copy()
+        others = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d - 1)))
+        signs = np.insert(others, i, -1.0, axis=1)
+        free = signs != 0.0
+        candidates, _ = _pattern_candidates(y, signs, free, radius)
+        other_mask = np.ones(d, dtype=bool)
+        other_mask[i] = False
+        sign_ok = np.all((signs * candidates)[:, other_mask] >= -1e-12, axis=1)
+        feasible = (np.abs(candidates[:, other_mask]).sum(axis=1)
+                    - candidates[:, i]) <= radius + FEASIBILITY_TOL
+
+    valid = sign_ok & feasible
+    if not valid.any():
+        raise NumericError("brute-force oracle found no feasible candidate")
+    dist = ((candidates - y[None, :]) ** 2).sum(axis=1)
+    dist[~valid] = np.inf
+    return candidates[int(np.argmin(dist))]
+
+
+# ------------------------------------- polyhedral invariance
+
+@dataclass
+class Polyhedron:
+    """H-representation ``{x : A x <= b}`` with an optional vertex list."""
+
+    A: np.ndarray
+    b: np.ndarray
+    vertices: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.A = np.asarray(self.A, dtype=np.float64)
+        self.b = np.asarray(self.b, dtype=np.float64).ravel()
+        if self.A.ndim != 2 or self.A.shape[0] != self.b.size:
+            raise DimensionError(
+                f"A is {self.A.shape} but b has {self.b.size} entries")
+        if self.vertices is not None:
+            self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=np.float64))
+            if self.vertices.shape[1] != self.dim:
+                raise DimensionError("vertex dimension does not match A")
+            slack = self.vertices @ self.A.T - self.b
+            if slack.max(initial=-np.inf) > MEMBERSHIP_TOL:
+                raise ContractError(
+                    f"listed vertex violates constraints by {slack.max():.3e}")
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[1]
+
+    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+        x = np.asarray(x, dtype=np.float64).ravel()
+        return bool(np.all(self.A @ x <= self.b + tol))
+
+
+def unit_hypercube(d: int, with_vertices: bool = True) -> Polyhedron:
+    """The axis-aligned hypercube [-1, 1]^d.
+
+    Constraint rows come in (+e_i, -e_i) pairs; vertices, when requested,
+    enumerate sign patterns in lexicographic order starting at (-1,...,-1).
+    Vertex count is 2^d, so keep d modest when asking for them.
+    """
+    A = np.vstack([np.eye(d), -np.eye(d)])
+    b = np.ones(2 * d)
+    vertices = None
+    if with_vertices:
+        grid = np.meshgrid(*([np.array([-1.0, 1.0])] * d), indexing="ij")
+        vertices = np.stack([g.ravel() for g in grid], axis=1)
+    return Polyhedron(A, b, vertices)
+
+
+def scale_set(C: Polyhedron, s: float) -> Polyhedron:
+    """Scale an origin-containing polyhedron: ``sC = {x : A x <= s b}``."""
+    if s < 0:
+        raise ContractError(f"scale must be nonnegative, got {s}")
+    if np.any(C.b < 0):
+        raise ContractError("scaling requires an origin-containing set (b >= 0)")
+    vertices = None if C.vertices is None else s * C.vertices
+    return Polyhedron(C.A, s * C.b, vertices)
+
+
+@dataclass
+class InwardPointingResult:
+    ok: bool
+    vertex: Optional[np.ndarray] = None
+    constraint_index: Optional[int] = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def inward_pointing_check(C: Polyhedron, A) -> InwardPointingResult:
+    """Decide whether the linear field ``x -> A x`` maps C into itself.
+
+    For a bounded polytope given by its complete vertex list this is
+    equivalent to checking the image of every vertex (the image of a convex
+    set under a linear map is the convex hull of the vertex images). On
+    failure the witness is the first vertex, in listed order, whose image
+    leaves C, together with the index of the violated constraint row.
+    """
+    if C.vertices is None or len(C.vertices) == 0:
+        raise ContractError("inward_pointing_check needs the complete vertex list")
+    if np.any(C.b <= 0):
+        raise ContractError("set must contain the origin strictly (all b > 0)")
+    A = _check_square(A)
+    if A.shape[0] != C.dim:
+        raise DimensionError(f"field is {A.shape}, set lives in dimension {C.dim}")
+    images = C.vertices @ A.T
+    slack = images @ C.A.T - C.b
+    bad = np.argwhere(slack > MEMBERSHIP_TOL)
+    if bad.size == 0:
+        return InwardPointingResult(ok=True)
+    v_idx, c_idx = bad[0]
+    return InwardPointingResult(ok=False, vertex=C.vertices[v_idx].copy(),
+                                constraint_index=int(c_idx))

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    brute_force_row_qp,
     eig_match_distance,
     matrix_with_condition,
     random_orthogonal,
     rel_err,
     rotation,
+    total_loss,
 )
 from koopstab import autodiff as ad
 from koopstab.autodiff import Tape
@@ -27,13 +29,8 @@ from koopstab.data import (
     synth_handwriting_like,
 )
 from koopstab.edmd import edmd_fit, lift_dataset
-from koopstab.model import (
-    BoundModel,
-    KoopmanModel,
-    LossWeights,
-    total_loss,
-)
-from koopstab.projection import brute_force_row_qp, pgd_project, project_row
+from koopstab.model import BoundModel, KoopmanModel, LossWeights
+from koopstab.projection import pgd_project, project_row
 from koopstab.stability import barrier_values, certify_stable, spectral_radius
 from koopstab.trainer import TrainConfig, evaluate, train
 

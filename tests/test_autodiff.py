@@ -13,8 +13,8 @@ from helpers import fd_gradient, matrix_with_condition, rel_err
 def scalar_sum(tape, dv):
     """sum of all entries, expressed with tape ops (ones @ dv @ ones)."""
     rows, cols = dv.value.shape
-    left = tape.constant(np.ones((1, rows)))
-    right = tape.constant(np.ones((cols, 1)))
+    left = tape.leaf(np.ones((1, rows)))
+    right = tape.leaf(np.ones((cols, 1)))
     return ad.matmul(ad.matmul(left, dv), right)
 
 
@@ -142,28 +142,28 @@ def test_backward_composite_matmul_matinv_vs_fd():
 def _loss_through(op_name, tape, x):
     """Wrap op under test into a smooth scalar loss."""
     if op_name == "matmul_left":
-        w = tape.constant(np.linspace(0.3, 1.2, x.value.shape[1] * 3).reshape(x.value.shape[1], 3))
+        w = tape.leaf(np.linspace(0.3, 1.2, x.value.shape[1] * 3).reshape(x.value.shape[1], 3))
         return ad.sum_sq_norm(ad.matmul(x, w))
     if op_name == "matmul_right":
-        w = tape.constant(np.linspace(-0.5, 0.8, x.value.shape[0] * 3).reshape(3, x.value.shape[0]))
+        w = tape.leaf(np.linspace(-0.5, 0.8, x.value.shape[0] * 3).reshape(3, x.value.shape[0]))
         return ad.sum_sq_norm(ad.matmul(w, x))
     if op_name == "matinv":
         return ad.sum_sq_norm(ad.matinv(x))
     if op_name in ("tanh", "relu", "identity"):
         return ad.sum_sq_norm(ad.elementwise(x, op_name))
     if op_name == "add":
-        other = tape.constant(np.full(x.value.shape, 0.7))
+        other = tape.leaf(np.full(x.value.shape, 0.7))
         return ad.sum_sq_norm(ad.add(x, other))
     if op_name == "sub":
-        other = tape.constant(np.full(x.value.shape, -0.3))
+        other = tape.leaf(np.full(x.value.shape, -0.3))
         return ad.sum_sq_norm(ad.sub(x, other))
     if op_name == "scale":
         return ad.sum_sq_norm(ad.scale(x, -1.7))
     if op_name == "add_bias":
-        bias = tape.constant(np.linspace(0.1, 0.9, x.value.shape[0]).reshape(-1, 1))
+        bias = tape.leaf(np.linspace(0.1, 0.9, x.value.shape[0]).reshape(-1, 1))
         return ad.sum_sq_norm(ad.add_bias(x, bias))
     if op_name == "bias_arg":
-        base = tape.constant(np.ones((x.value.shape[0], 5)))
+        base = tape.leaf(np.ones((x.value.shape[0], 5)))
         return ad.sum_sq_norm(ad.add_bias(base, x))
     if op_name == "sum_sq_norm":
         return ad.sum_sq_norm(ad.sum_sq_norm(x))
@@ -208,7 +208,7 @@ def test_gradients_match_finite_differences(op_name):
 def _two_term_grads(a0, b0, alpha, beta):
     tape = ad.Tape()
     x = tape.leaf(a0)
-    l1 = ad.sum_sq_norm(ad.matmul(x, tape.constant(b0)))
+    l1 = ad.sum_sq_norm(ad.matmul(x, tape.leaf(b0)))
     l2 = ad.sum_sq_norm(ad.elementwise(x, "tanh"))
     tape.backward(ad.add(ad.scale(l1, alpha), ad.scale(l2, beta)))
     return x.grad

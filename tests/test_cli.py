@@ -1,8 +1,14 @@
 """Command-line interface tests: config parsing, commands, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import koopstab
 from koopstab.cli import (
     RunConfig,
     load_run_config,
@@ -160,13 +166,16 @@ class TestTrainCommand:
         for k, t in enumerate(synth_stable_spiral(n_traj=2, length=20, seed=5,
                                                            n_val=0).trajectories):
             write_trajectory_csv(data_dir / f"t{k}.csv", t)
-        flat = Trajectory(times=np.arange(20) * 0.1, states=np.zeros((20, 2)))
-        write_trajectory_csv(data_dir / "t2.csv", flat)  # sorts last: the val split
-        # scored while training only: the final report reads the train split
-        cfg = write_config(tmp_path, data=str(data_dir), dt=0, center="false",
-                           epochs=2, early_stop="true", eval_split="train")
-        assert main(["train", "--config", str(cfg)]) == 3
-        assert "zero variance" in capsys.readouterr().err
+        # 0.3 does not survive the mean exactly: the variance is ~1e-33, not 0
+        for level in (0.0, 0.3):
+            flat = Trajectory(times=np.arange(20) * 0.1,
+                              states=np.full((20, 2), level))
+            write_trajectory_csv(data_dir / "t2.csv", flat)  # sorts last: the val split
+            # scored while training only: the final report reads the train split
+            cfg = write_config(tmp_path, data=str(data_dir), dt=0, center="false",
+                               epochs=2, early_stop="true", eval_split="train")
+            assert main(["train", "--config", str(cfg)]) == 3
+            assert "zero variance" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -260,6 +269,13 @@ class TestEdmdCommand:
         np.testing.assert_allclose(read_matrix(dest), A, atol=1e-8)
         assert "CERTIFIED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dictionary", ["monomials:x", "monomials:"])
+    def test_bad_monomial_degree_exits_2(self, tmp_path, capsys, dictionary):
+        code = main(["edmd", "synth:spiral", "--dictionary", dictionary,
+                     "--out", str(tmp_path / "K.csv")])
+        assert code == 2
+        assert "monomial degree" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_scores_checkpoint_on_dataset(self, tmp_path, capsys):
@@ -279,6 +295,20 @@ class TestEvalCommand:
         assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
         assert "encoder-layers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, bad", [("K", "nan"), ("encoder.w0", "inf")])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, name, bad):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        lines = ckpt.read_text().splitlines()
+        row = next(k for k, line in enumerate(lines)
+                   if line.startswith(f"matrix {name} ")) + 1
+        lines[row] = " ".join([bad] + lines[row].split()[1:])
+        ckpt.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"matrix {name} row 0" in err and f"model.ckpt:{row + 1}:" in err
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code = main(["eval", str(tmp_path / "no.ckpt"), "synth:spiral"])
         assert code == 2
@@ -296,3 +326,27 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main(["unknown-command"])
         assert exc.value.code == 2
+
+
+def test_unexpected_exception_exits_4(monkeypatch, tmp_path, capsys):
+    def broken(args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr("koopstab.cli.cmd_verify", broken)
+    assert main(["verify", str(tmp_path / "K.csv")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: injected" in err
+
+
+def test_separate_processes_write_identical_artifacts(tmp_path):
+    """Byte-identical artifacts across processes at one fixed BLAS thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(koopstab.__file__).parents[1]))
+    for tag in ("a", "b"):
+        cfg = write_config(tmp_path, epochs=5, out=str(tmp_path / tag))
+        subprocess.run([sys.executable, "-m", "koopstab.cli", "train", "--config",
+                        str(cfg)], env=env, check=True, capture_output=True,
+                       timeout=300)
+    for name in ("model.ckpt", "history.csv", "metrics.csv", "barrier.txt"):
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a == (tmp_path / "b" / name).read_bytes(), name

@@ -1,0 +1,114 @@
+"""Property test of the CLI exit-code contract on malformed input files.
+
+``verify`` exits 0 (certified), 1 (refused), 2 (bad input) or 3 (numeric
+failure); every other command exits 0, 2 or 3. Exit 4 marks an exception the
+boundary let through, so it must never occur here, not even for bytes that
+are not UTF-8. Examples are drawn from a fixed seed, so every run checks the
+same inputs.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from koopstab.cli import main
+from koopstab.data import Preprocessing
+from koopstab.model import KoopmanModel, save_checkpoint
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+entries = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "x", "1e999", "-1e999", "nan", "0x10", "1,,2"]))
+rows = st.lists(entries, min_size=1, max_size=5).map(",".join)
+csv_texts = st.one_of(
+    st.just(""),
+    st.binary(max_size=24),
+    st.lists(rows, min_size=1, max_size=5).map("\n".join),
+    # square matrices of finite values, so the numeric paths run too
+    st.integers(1, 5).flatmap(lambda d: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=d, max_size=d).map(lambda r: ",".join(map(repr, r))),
+        min_size=d, max_size=d)).map("\n".join))
+
+
+def run(argv_for):
+    with tempfile.TemporaryDirectory() as tmp:
+        return main(argv_for(Path(tmp)))
+
+
+def write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return path
+
+
+@SETTINGS
+@given(text=csv_texts)
+@example(text=b"\xff\xfe1,0\n0,1\n")
+def test_verify_exit_codes(text):
+    assert run(lambda tmp: ["verify", str(write(tmp / "K.csv", text))]) in {0, 1, 2, 3}
+
+
+@SETTINGS
+@given(text=csv_texts, reference=st.one_of(st.none(), csv_texts))
+@example(text="9007199254740996.0", reference=None)
+def test_project_exit_codes(text, reference):
+    def argv(tmp):
+        args = ["project", str(write(tmp / "K.csv", text))]
+        if reference is not None:
+            args += ["--reference", str(write(tmp / "R.csv", reference))]
+        return args
+
+    assert run(argv) in {0, 2, 3}
+
+
+@pytest.fixture(scope="module")
+def checkpoint_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    model = KoopmanModel.init(n=2, d=3, hidden=(4,), seed=1)
+    save_checkpoint(path, model,
+                    Preprocessing(dt=0.1, offset=np.array([0.1, -0.2]),
+                                  scale=np.array([2.0, 3.0])),
+                    config={"epochs": 1})
+    return path.read_text(encoding="utf-8")
+
+
+tokens = st.sampled_from(["nan", "inf", "-inf", "x", "", "-1", "0", "7", "1e400",
+                          "99999999", "matrix", "config", "tanh", "relu", "K", "S"])
+
+
+@settings(SETTINGS, suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_eval_exit_codes_on_corrupted_checkpoints(checkpoint_text, data):
+    lines = checkpoint_text.splitlines()
+    kind = data.draw(st.sampled_from(["truncate", "byte", "token", "drop", "duplicate"]))
+    if kind == "truncate":
+        text = checkpoint_text[:data.draw(st.integers(0, len(checkpoint_text)))]
+    elif kind == "byte":
+        raw = bytearray(checkpoint_text.encode("utf-8"))
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        text = bytes(raw)
+    else:
+        k = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "token":
+            words = lines[k].split() or [""]
+            j = data.draw(st.integers(0, len(words) - 1))
+            words[j] = data.draw(tokens)
+            lines[k] = " ".join(words)
+        elif kind == "drop":
+            del lines[k]
+        else:
+            lines.insert(k, lines[k])
+        text = "\n".join(lines) + "\n"
+    code = run(lambda tmp: ["eval", str(write(tmp / "model.ckpt", text)),
+                            "synth:spiral", "--n-val", "1"])
+    assert code in {0, 2, 3}

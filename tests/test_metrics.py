@@ -47,6 +47,14 @@ class TestNmse:
         x = np.ones((5, 2))
         with pytest.raises(DegenerateDataError):
             nmse(x, x)
+        # the mean of 0.3s is not exactly 0.3: a variance of ~6e-33 is still zero
+        x = np.full((20, 2), 0.3)
+        with pytest.raises(DegenerateDataError):
+            nmse(x + 0.1, x)
+
+    def test_small_real_variance_scores(self):
+        x = 0.3 + 1e-9 * np.arange(20.0)[:, None] * np.ones((1, 2))
+        assert nmse(x + 1e-10, x) == pytest.approx(1e-20 / np.var(x[:, 0]), rel=1e-6)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):

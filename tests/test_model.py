@@ -18,15 +18,19 @@ from koopstab.model import (
     LossWeights,
     MlpParams,
     load_checkpoint,
+    save_checkpoint,
+    sliding_window_loss,
+)
+from koopstab.stability import certify_stable
+from helpers import (
+    eig_match_distance,
     loss_lin,
     loss_pred,
     loss_rec,
-    save_checkpoint,
-    sliding_window_loss,
+    matrix_with_condition,
+    rel_err,
     total_loss,
 )
-from koopstab.stability import certify_stable
-from helpers import eig_match_distance, matrix_with_condition, rel_err
 
 
 def tiny_model(seed=0, n=2, d=3, hidden=(4,), k_init="certified"):
@@ -420,6 +424,19 @@ class TestCheckpoint:
         save_checkpoint(path, tiny_model(seed=16))
         path.write_text(path.read_text().replace(old, new))
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new", [
+        ("preproc-dt 0.1", "preproc-dt x"),
+        ("matrix preproc.offset 1 2\n0.25 -3.5", "matrix preproc.offset 0 2"),
+    ])
+    def test_bad_preprocessing_rejected(self, tmp_path, old, new):
+        path = tmp_path / "m.ckpt"
+        pre = Preprocessing(dt=0.1, offset=np.array([0.25, -3.5]))
+        save_checkpoint(path, tiny_model(seed=16), preprocessing=pre)
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ParseError, match="preproc"):
             load_checkpoint(path)
 
     def test_truncated_matrix_rejected(self, tmp_path):

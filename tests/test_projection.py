@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from koopstab.errors import ContractError, DimensionError
-from koopstab.projection import (
-    barrier_threshold,
-    brute_force_row_qp,
-    pgd_project,
-    project_row,
-    project_row_asymmetric,
-    project_row_symmetric,
-)
+from koopstab.projection import barrier_threshold, pgd_project, project_row
 from koopstab.stability import barrier_values, certify_stable
+
+from helpers import brute_force_row_qp
 
 
 class TestBarrierThreshold:
@@ -34,51 +29,56 @@ class TestBarrierThreshold:
 class TestSymmetricRow:
     def test_interior_point_unchanged(self):
         y = np.array([0.2, -0.3, 0.1])
-        out = project_row_symmetric(y, 0, 0.0)
+        out = project_row(y, 0, 0.0, "symmetric")
         np.testing.assert_array_equal(out, y)
 
     def test_axis_point(self):
-        out = project_row_symmetric(np.array([2.0, 0.0]), 0, 0.0)
+        out = project_row(np.array([2.0, 0.0]), 0, 0.0, "symmetric")
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
     def test_diagonal_point(self):
-        out = project_row_symmetric(np.array([1.0, 1.0]), 0, 0.0)
+        out = project_row(np.array([1.0, 1.0]), 0, 0.0, "symmetric")
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
 
     def test_tied_magnitudes_share_shrinkage(self):
-        out = project_row_symmetric(np.array([1.5, -1.5, 1.5]), 1, 0.0)
+        out = project_row(np.array([1.5, -1.5, 1.5]), 1, 0.0, "symmetric")
         np.testing.assert_allclose(out, [1 / 3, -1 / 3, 1 / 3], atol=1e-12)
 
     def test_negative_tau_grows_radius(self):
-        out = project_row_symmetric(np.array([4.0, 0.0]), 0, -1.0)
+        out = project_row(np.array([4.0, 0.0]), 0, -1.0, "symmetric")
         np.testing.assert_allclose(out, [2.0, 0.0], atol=1e-12)
+
+    def test_entry_that_dwarfs_the_radius(self):
+        # 2**53 + 4 - 1 rounds back to 2**53 + 4, hiding the first sort index
+        out = project_row(np.array([2.0 ** 53 + 4.0]), 0, 0.0, "symmetric")
+        assert np.abs(out).sum() <= 1.0
 
     def test_empty_interior_rejected(self):
         with pytest.raises(ContractError):
-            project_row_symmetric(np.array([1.0, 0.0]), 0, 1.0)
+            project_row(np.array([1.0, 0.0]), 0, 1.0, "symmetric")
 
     def test_bad_index_rejected(self):
         with pytest.raises(DimensionError):
-            project_row_symmetric(np.array([1.0, 0.0]), 2, 0.0)
+            project_row(np.array([1.0, 0.0]), 2, 0.0, "symmetric")
 
 
 class TestAsymmetricRow:
     def test_feasible_point_unchanged(self):
         y = np.array([5.0, 0.2])  # 0.2 - 5.0 is far below 1
-        np.testing.assert_array_equal(project_row_asymmetric(y, 0, 0.0), y)
+        np.testing.assert_array_equal(project_row(y, 0, 0.0, "asymmetric"), y)
 
     def test_negative_diagonal_lifted(self):
-        out = project_row_asymmetric(np.array([-2.0, 0.0]), 0, 0.0)
+        out = project_row(np.array([-2.0, 0.0]), 0, 0.0, "asymmetric")
         np.testing.assert_allclose(out, [-1.0, 0.0], atol=1e-12)
 
     def test_offdiagonal_split_with_diagonal(self):
         # KKT by hand: lam = 1, x_i = y_i + 1, x_j soft-thresholded by 1
-        out = project_row_asymmetric(np.array([0.0, 3.0]), 0, 0.0)
+        out = project_row(np.array([0.0, 3.0]), 0, 0.0, "asymmetric")
         np.testing.assert_allclose(out, [1.0, 2.0], atol=1e-12)
 
     def test_unbounded_diagonal_direction_stays_feasible(self):
         y = np.array([10.0, 0.5, -0.5])
-        np.testing.assert_array_equal(project_row_asymmetric(y, 0, 0.0), y)
+        np.testing.assert_array_equal(project_row(y, 0, 0.0, "asymmetric"), y)
 
 
 class TestBruteForceOracle:

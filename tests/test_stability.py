@@ -3,18 +3,16 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from koopstab.errors import ContractError, DimensionError
-from koopstab.stability import (
-    BarrierReport,
+from koopstab.stability import barrier_values, certify_stable, spectral_radius
+
+from helpers import (
     Polyhedron,
-    barrier_values,
-    certify_stable,
     inward_pointing_check,
+    random_orthogonal,
+    rotation,
     scale_set,
-    spectral_radius,
     unit_hypercube,
 )
-
-from helpers import random_orthogonal, rotation
 
 
 def random_certified(rng, d, slack=0.0):
