@@ -36,7 +36,7 @@ from .errors import ContractError, DimensionError, SingularMatrixError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
 
-DEFAULT_COND_CAP = 1e8
+COND_CAP = 1e8
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -165,12 +165,12 @@ def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
     return tape._record(out, (a, b), backward_fn)
 
 
-def checked_inverse(a: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
+def checked_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a plain square array via LAPACK LU, with a condition guard.
 
     Raises :class:`SingularMatrixError` (carrying the infinity-norm
     condition estimate) when ``a`` is singular, holds NaN or Inf, or its
-    estimated condition number exceeds ``cond_cap``.
+    estimated condition number exceeds ``COND_CAP``.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix is {a.shape}, not square")
@@ -179,16 +179,16 @@ def checked_inverse(a: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> np.nda
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"singular matrix: {exc}") from exc
     cond = float(np.linalg.norm(a, np.inf) * np.linalg.norm(inv, np.inf))
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise SingularMatrixError(
-            f"condition estimate {cond:.3e} exceeds cap {cond_cap:.3e}", cond)
+            f"condition estimate {cond:.3e} exceeds cap {COND_CAP:.3e}", cond)
     return inv
 
 
-def matinv(a: DiffValue, cond_cap: float = DEFAULT_COND_CAP) -> DiffValue:
+def matinv(a: DiffValue) -> DiffValue:
     """Matrix inverse on the tape; see :func:`checked_inverse` for the guard."""
     tape = _same_tape(a)
-    inv = checked_inverse(a.value, cond_cap)
+    inv = checked_inverse(a.value)
     out = DiffValue(inv, tape)
 
     def backward_fn(g):

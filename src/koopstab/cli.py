@@ -277,7 +277,10 @@ def cmd_project(args: argparse.Namespace) -> int:
     write_matrix(out, projected)
     before = barrier_values(K).rows(args.mode).min()
     after = barrier_values(projected).rows(args.mode).min()
-    moved = float(np.linalg.norm(K - projected))
+    diff = K - projected
+    # scaled so entries near the float limit do not overflow the squares
+    scale = float(np.abs(diff).max(initial=0.0)) or 1.0
+    moved = scale * float(np.linalg.norm(diff / scale))
     print(f"min row barrier: {before:.6e} -> {after:.6e}")
     print(f"displacement (Frobenius): {moved:.6e}")
     print(f"wrote {out}")

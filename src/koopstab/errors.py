@@ -34,11 +34,14 @@ class DataError(KoopstabError):
 
 
 class ParseError(DataError):
-    """Malformed input file; records file and line for diagnostics."""
+    """Malformed input file; records file and line (None: the whole file)."""
 
-    def __init__(self, message: str, path: str = "", line: int = 0):
-        loc = f"{path}:{line}: " if path else ""
-        super().__init__(f"{loc}{message}")
+    def __init__(self, message: str, path: str = "", line: int | None = None):
+        if path and line is not None:
+            message = f"{path}:{line}: {message}"
+        elif path:
+            message = f"{path}: {message}"
+        super().__init__(message)
         self.path = path
         self.line = line
 

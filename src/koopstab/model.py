@@ -42,8 +42,6 @@ from .errors import (
     ParseError,
 )
 
-COND_CAP = 1e8
-
 
 @dataclass
 class MlpParams:
@@ -167,7 +165,7 @@ class KoopmanModel:
 
     def effective_matrix(self) -> np.ndarray:
         """The matrix S^-1 K S that advances lifted coordinates."""
-        return ad.checked_inverse(self.S, COND_CAP) @ self.K @ self.S
+        return ad.checked_inverse(self.S) @ self.K @ self.S
 
     def rollout(self, psi0, horizon: int) -> np.ndarray:
         """Lifted iterates [K'z, K'^2 z, ..., K'^horizon z], rows stacked."""
@@ -288,7 +286,7 @@ class BoundModel:
     def effective(self) -> DiffValue:
         """S^-1 K S on the tape; computed once and shared by all losses."""
         if self._effective is None:
-            s_inv = ad.matinv(self.leaves["S"], cond_cap=COND_CAP)
+            s_inv = ad.matinv(self.leaves["S"])
             self._effective = ad.matmul(ad.matmul(s_inv, self.leaves["K"]),
                                         self.leaves["S"])
         return self._effective
@@ -409,7 +407,7 @@ def save_checkpoint(path, model: KoopmanModel,
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_count(token: str, what: str, path: Path, line: int = 0) -> int:
+def _parse_count(token: str, what: str, path: Path, line: int | None = None) -> int:
     if not token.isdecimal():
         raise ParseError(f"{what} must be a non-negative integer, got {token!r}",
                          path=path, line=line)
@@ -463,15 +461,20 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
         else:
             meta[tokens[0]] = line.split(None, 1)[1] if len(tokens) > 1 else ""
 
+    def meta_value(key: str) -> str:
+        if key not in meta:
+            raise ParseError(f"missing key {key}", path=path)
+        return meta[key]
+
     def build_mlp(prefix: str) -> MlpParams:
-        count = _parse_count(meta[f"{prefix}-layers"], f"{prefix}-layers", path)
+        count = _parse_count(meta_value(f"{prefix}-layers"), f"{prefix}-layers", path)
+        activation = meta_value(f"{prefix}-activation")
         try:
             weights = [matrices.pop(f"{prefix}.w{k}") for k in range(count)]
             biases = [matrices.pop(f"{prefix}.b{k}") for k in range(count)]
         except KeyError as exc:
             raise ParseError(f"missing matrix {exc.args[0]}", path=path) from None
-        return MlpParams(weights=weights, biases=biases,
-                         activation=meta[f"{prefix}-activation"])
+        return MlpParams(weights=weights, biases=biases, activation=activation)
 
     try:
         encoder = build_mlp("encoder")

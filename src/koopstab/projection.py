@@ -26,8 +26,9 @@ while infeasible rows are only required not to regress (and, for
 alpha < 1, to approach the feasible set geometrically).
 
 ``project_row`` is the one entry to both row projections; ``pgd_project``
-applies it to every row that misses its threshold. The test suite checks it
-against a brute-force support-pattern enumeration of the same row problems.
+applies it to every row that misses its threshold, measuring rows only with
+the certifier's own ``barrier_values``. The test suite checks it against a
+brute-force support-pattern enumeration of the same row problems.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from .errors import ContractError, DimensionError, NumericError
 from .stability import barrier_values
 
 
-def barrier_threshold(h_prev: float, alpha: float) -> float:
-    """Relaxed per-row constraint threshold min(0, alpha * h_prev)."""
+def barrier_threshold(h_prev, alpha: float):
+    """Relaxed per-row constraint threshold min(0, alpha * h_prev), elementwise."""
     if not 0.0 < alpha <= 1.0:
         raise ContractError(f"alpha must lie in (0, 1], got {alpha}")
-    return min(0.0, alpha * float(h_prev))
+    return np.minimum(0.0, alpha * np.asarray(h_prev, dtype=np.float64))
 
 
 def _l1_project(y: np.ndarray, radius: float) -> np.ndarray:
@@ -120,19 +121,6 @@ def project_row(y, i: int, tau: float, mode: str) -> np.ndarray:
     raise ContractError(f"unknown projection mode {mode!r}")
 
 
-def _row_h(row: np.ndarray, i: int, mode: str) -> float:
-    """Per-row barrier with the same arithmetic as stability.barrier_values.
-
-    Matching the certificate's float operations bit-for-bit lets pgd_project
-    guarantee certification at tolerance 0, not merely within an epsilon.
-    """
-    offdiag = np.sum(np.abs(row)) - abs(row[i])
-    h_plus = (1.0 + row[i]) - offdiag
-    if mode == "asymmetric":
-        return h_plus
-    return min(h_plus, (1.0 - row[i]) - offdiag)
-
-
 def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
                 margin: float = 0.0) -> np.ndarray:
     """Projected-gradient step: pull each row of K_tilde back to its barrier set.
@@ -140,7 +128,9 @@ def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
     Thresholds are computed from ``K_prev`` (the matrix as it stood before
     the gradient update), so the row problems are mutually independent.
     ``margin > 0`` shrinks every row radius to 1 - tau - margin, trading the
-    marginal certificate for a strict one.
+    marginal certificate for a strict one. Rows are tested with the
+    certifier's own ``barrier_values``, so the fresh C-ordered result
+    certifies at ``margin_tol=0``.
     """
     K_tilde = np.asarray(K_tilde, dtype=np.float64)
     K_prev = np.asarray(K_prev, dtype=np.float64)
@@ -149,28 +139,22 @@ def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
             f"reference and previous matrices differ: {K_tilde.shape} vs {K_prev.shape}")
     if K_tilde.ndim != 2 or K_tilde.shape[0] != K_tilde.shape[1]:
         raise DimensionError(f"expected square matrices, got {K_tilde.shape}")
+    if not (np.all(np.isfinite(K_tilde)) and np.all(np.isfinite(K_prev))):
+        raise ContractError("pgd_project needs finite matrices (NaN or Inf entry)")
     if not 0.0 <= margin < 1.0:
         raise ContractError(f"margin must lie in [0, 1), got {margin}")
 
-    h_prev = barrier_values(K_prev).rows(mode)
-    out = np.empty_like(K_tilde)
-    for i in range(K_tilde.shape[0]):
-        tau = barrier_threshold(h_prev[i], alpha)
-        target = tau + margin
-        row = K_tilde[i]
-        if _row_h(row, i, mode) >= target:
-            out[i] = row
-            continue
-        x = project_row(row, i, target, mode)
-        # scaling a row toward 0 raises h by (1 - h) per unit shrink, so a
-        # relative 1e-12 nudge absorbs any ulp-level shortfall left by the
-        # projection's own rounding
-        for _ in range(8):
-            if _row_h(x, i, mode) >= target:
-                break
-            x = x * (1.0 - 1e-12)
-        else:
-            raise NumericError(
-                f"row {i}: projection failed to reach barrier target {target}")
-        out[i] = x
-    return out
+    target = barrier_threshold(barrier_values(K_prev).rows(mode), alpha) + margin
+    out = np.array(K_tilde, order="C")
+    for i in np.flatnonzero(barrier_values(out).rows(mode) < target):
+        out[i] = project_row(out[i], i, target[i], mode)
+    # scaling a row toward 0 raises h by (1 - h) per unit shrink, so a
+    # relative 1e-12 nudge absorbs any ulp-level shortfall left by the
+    # projection's own rounding
+    for _ in range(8):
+        short = barrier_values(out).rows(mode) < target
+        if not short.any():
+            return out
+        out[short] *= 1.0 - 1e-12
+    raise NumericError(f"rows {np.flatnonzero(short).tolist()}: projection "
+                       f"failed to reach barrier targets {target[short].tolist()}")

@@ -26,10 +26,11 @@ _DENSE_EIG_LIMIT = 64
 
 
 def _check_square(K) -> np.ndarray:
+    """K as a C-ordered float64 square matrix, so row sums add in one order."""
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {K.shape}")
-    return K
+    return np.ascontiguousarray(K)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .model import (
     save_checkpoint,
     sliding_window_loss,
 )
-from .projection import pgd_project
+from .projection import barrier_threshold, pgd_project
 from .stability import barrier_values, certify_stable, spectral_radius
 
 
@@ -161,7 +161,7 @@ class TrainHistory:
     records: list[IterationRecord] = field(default_factory=list)
 
     def append(self, record: IterationRecord) -> None:
-        floor = np.minimum(0.0, self.alpha * record.h_pre)
+        floor = barrier_threshold(record.h_pre, self.alpha)
         if not np.all(record.h_post >= floor):
             worst = float((record.h_post - floor).min())
             raise ContractError(
@@ -291,22 +291,19 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
     return history
 
 
-def evaluate(model: KoopmanModel, dataset: Dataset, split: str = "val",
-             source_units: bool = True) -> MetricsReport:
+def evaluate(model: KoopmanModel, dataset: Dataset, split: str = "val") -> MetricsReport:
     """Score full-trajectory predictions from each initial state.
 
-    Predictions run in the model's (preprocessed) coordinates; with
-    ``source_units`` the recorded preprocessing is inverted before scoring
-    so the report reads in the data's original units.
+    Predictions run in the model's (preprocessed) coordinates; the recorded
+    preprocessing is inverted before scoring so the report reads in the
+    data's original units.
     """
     trajs = dataset.subset(split)
     if not trajs:
         raise DataError(f"split {split!r} is empty")
     preds = model.predict_states(*_initial_states(trajs))
-    truths = [t.states[1:] for t in trajs]
-    if source_units:
-        preds = [dataset.preprocessing.invert(p) for p in preds]
-        truths = [dataset.preprocessing.invert(x) for x in truths]
+    preds = [dataset.preprocessing.invert(p) for p in preds]
+    truths = [dataset.preprocessing.invert(t.states[1:]) for t in trajs]
     return build_report(
         preds, truths,
         spectral_radius=spectral_radius(model.effective_matrix()),

@@ -244,6 +244,16 @@ class TestProjectCommand:
         # threshold is alpha * (-0.5) = -0.25, so diag 1.25 is allowed
         np.testing.assert_allclose(out, 1.25 * np.eye(2), atol=1e-9)
 
+    def test_huge_entries_print_finite_displacement(self, tmp_path, capsys):
+        path = tmp_path / "k.csv"
+        write_matrix(path, np.array([[1e200, -3e200], [2e200, 0.5]]))
+        assert main(["project", str(path)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("displacement"))
+        moved = float(line.split()[-1])
+        assert np.isfinite(moved)
+        assert moved == pytest.approx(np.sqrt(14.0) * 1e200, rel=1e-6)
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_entry_exit_2(self, tmp_path, capsys, bad):
         path = tmp_path / "k.csv"
@@ -294,6 +304,16 @@ class TestEvalCommand:
         ckpt.write_text(ckpt.read_text().replace("encoder-layers 2", "encoder-layers x"))
         assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
         assert "encoder-layers" in capsys.readouterr().err
+
+    def test_missing_layer_count_exits_2_naming_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        ckpt.write_text(ckpt.read_text().replace("encoder-layers 2\n", ""))
+        assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: missing key encoder-layers" in err
+        assert ":0:" not in err
 
     @pytest.mark.parametrize("name, bad", [("K", "nan"), ("encoder.w0", "inf")])
     def test_non_finite_entry_exits_2(self, tmp_path, capsys, name, bad):

@@ -411,8 +411,22 @@ class TestCheckpoint:
         save_checkpoint(path, tiny_model(seed=14))
         text = path.read_text().replace("matrix K 3 3", "matrix K2 3 3")
         path.write_text(text)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             load_checkpoint(path)
+        # a fault of the whole file names no line
+        assert err.value.line is None
+        assert str(err.value) == f"{path}: missing matrix K"
+
+    @pytest.mark.parametrize("key", ["encoder-layers", "decoder-layers",
+                                     "encoder-activation", "decoder-activation"])
+    def test_missing_key_named_as_key(self, tmp_path, key):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(seed=14))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(l for l in lines if not l.startswith(key + " ")))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: missing key {key}"
 
     @pytest.mark.parametrize("old, new", [
         ("encoder-layers 2", "encoder-layers x"),

@@ -20,6 +20,10 @@ class TestBarrierThreshold:
     def test_alpha_scales_negative_barrier(self):
         assert barrier_threshold(-0.6, 0.5) == pytest.approx(-0.3)
 
+    def test_array_of_barriers(self):
+        np.testing.assert_array_equal(
+            barrier_threshold(np.array([0.4, -0.6, 0.0]), 0.5), [0.0, -0.3, 0.0])
+
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(ContractError):
@@ -275,3 +279,24 @@ class TestPgdProject:
     def test_bad_mode_rejected(self):
         with pytest.raises(ContractError):
             pgd_project(np.zeros((2, 2)), np.zeros((2, 2)), alpha=1.0, mode="spectral")
+
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    def test_transposed_input_certifies_at_tolerance_zero(self, mode):
+        # a transposed matrix is Fortran-ordered; the output must still pass
+        # the certificate's own row test, and come back C-ordered
+        rng = np.random.default_rng(37)
+        for d in (20, 50, 100, 200):
+            K = rng.normal(0.0, 0.3, size=(d, d))
+            out = pgd_project(K.T, np.zeros((d, d)), alpha=1.0, mode=mode)
+            assert out.flags.c_contiguous
+            assert barrier_values(out).rows(mode).min() >= 0.0
+            if mode == "symmetric":
+                assert certify_stable(out, margin_tol=0.0).certified
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["K_tilde", "K_prev"])
+    def test_non_finite_input_rejected(self, bad, which):
+        mats = {"K_tilde": np.eye(3), "K_prev": np.eye(3)}
+        mats[which][1, 2] = bad
+        with pytest.raises(ContractError, match="finite"):
+            pgd_project(mats["K_tilde"], mats["K_prev"], alpha=1.0)

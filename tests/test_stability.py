@@ -35,6 +35,15 @@ def random_polytope(rng, dim, n_points=24):
 
 # ------------------------------------------------------------ barrier rows
 
+def test_barrier_values_ignore_memory_layout():
+    # a row sum over a strided (Fortran-ordered) row adds in another order
+    K = np.random.default_rng(4).normal(size=(100, 100))
+    fortran = barrier_values(np.asfortranarray(K))
+    c_order = barrier_values(K)
+    assert fortran.h_plus.tobytes() == c_order.h_plus.tobytes()
+    assert fortran.h_minus.tobytes() == c_order.h_minus.tobytes()
+
+
 def test_barrier_values_zero_matrix():
     rep = barrier_values(np.zeros((3, 3)))
     np.testing.assert_array_equal(rep.h_plus, np.ones(3))
