@@ -21,7 +21,7 @@ import argparse
 import dataclasses
 import sys
 import traceback
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,20 +49,23 @@ from .errors import (
     SingularMatrixError,
 )
 from .model import KoopmanModel, LossWeights, load_checkpoint
-from .projection import pgd_project
-from .stability import barrier_values, certify_stable
+from .projection import displacement, pgd_project
+from .stability import MODES, barrier_values, certify_stable
 from .trainer import TrainConfig, evaluate, train
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a training run needs, with one documented default per field.
+    """What the CLI adds to a training run, with one documented default per field.
 
     ``data`` names a trajectory CSV, a directory of CSVs, a ``path,split``
     manifest, or a built-in generator (``synth:spiral``,
     ``synth:handwriting``). ``dt = 0`` disables resampling; ``center`` and
     ``normalize`` control the equilibrium-shift / max-abs scaling steps
-    recorded in the checkpoint's preprocessing block.
+    recorded in the checkpoint's preprocessing block. ``train`` holds the
+    optimizer, loss and projection settings and the seed; a config file sets
+    them by ``TrainConfig``'s field names, and the loss weights and window
+    length as ``pred_weight``, ``lin_weight``, ``rec_weight`` and ``horizon``.
     """
 
     data: str = ""
@@ -75,47 +78,37 @@ class RunConfig:
     center: bool = True
     normalize: bool = True
     n_val: int = 2
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    epochs: int = 3000
-    batch_size: int = 0
-    pred_weight: float = 1.0
-    lin_weight: float = 0.1
-    rec_weight: float = 1.0
-    horizon: int = 10
-    alpha: float = 1.0
-    mode: str = "symmetric"
-    margin: float = 0.0
-    seed: int = 0
-    early_stop: bool = False
-    patience: int = 200
     checkpoint_every: int = 0
     eval_split: str = "val"
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.lift_dim < 1:
             raise ConfigError(f"lift_dim must be >= 1, got {self.lift_dim}")
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
-
-    def train_config(self) -> TrainConfig:
-        weights = LossWeights(pred=self.pred_weight, lin=self.lin_weight,
-                              rec=self.rec_weight, horizon=self.horizon)
-        return TrainConfig(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                           eps=self.eps, epochs=self.epochs,
-                           batch_size=self.batch_size, weights=weights,
-                           alpha=self.alpha, mode=self.mode,
-                           margin=self.margin, seed=self.seed,
-                           early_stop=self.early_stop, patience=self.patience)
+        if not np.isfinite(self.dt):
+            raise ConfigError(f"dt must be finite, got {self.dt}")
+        if self.eval_split not in ("train", "val"):
+            raise ConfigError(
+                f"eval_split must be 'train' or 'val', got {self.eval_split!r}")
 
 
-_FIELDS = {f.name: f for f in fields(RunConfig)}
+def _declared(cls) -> dict:
+    """Field name -> default of every field with a plain default."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+_LOSS_KEYS = {"pred_weight": "pred", "lin_weight": "lin", "rec_weight": "rec",
+              "horizon": "horizon"}
+_RUN_KEYS, _TRAIN_KEYS = _declared(RunConfig), _declared(TrainConfig)
+# every config key, with the default whose type decides how its value parses
+_DEFAULTS = {**_RUN_KEYS, **_TRAIN_KEYS, **{
+    key: _declared(LossWeights)[name] for key, name in _LOSS_KEYS.items()}}
 
 
 def _coerce(key: str, raw: str):
-    default = _FIELDS[key].default
+    default = _DEFAULTS[key]
     if isinstance(default, bool):
         low = raw.lower()
         if low in ("true", "yes", "1"):
@@ -135,8 +128,7 @@ def _coerce(key: str, raw: str):
     return raw
 
 
-def load_run_config(path) -> RunConfig:
-    """Parse a flat ``key = value`` config file; unknown keys are errors."""
+def _read_config_file(path) -> dict:
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -150,12 +142,29 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELDS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
         values[key] = _coerce(key, value)
-    return RunConfig(**values)
+    return values
+
+
+def load_run_config(path=None, overrides=None) -> RunConfig:
+    """Build the run's settings from a flat ``key = value`` file and overrides.
+
+    Each value is parsed by the type of its key's default and handed to the
+    dataclass that declares the key; an override (same keys, unparsed
+    strings) beats the file, and unknown keys are errors.
+    """
+    values = _read_config_file(path) if path else {}
+    values.update({key: _coerce(key, raw) for key, raw in (overrides or {}).items()})
+    weights = LossWeights(**{name: values[key] for key, name in _LOSS_KEYS.items()
+                             if key in values})
+    train_config = TrainConfig(weights=weights, **{
+        key: value for key, value in values.items() if key in _TRAIN_KEYS})
+    return RunConfig(train=train_config, **{
+        key: value for key, value in values.items() if key in _RUN_KEYS})
 
 
 def read_matrix(path) -> np.ndarray:
@@ -193,9 +202,9 @@ def _load_dataset(config: RunConfig) -> Dataset:
         raise ConfigError(
             "missing dataset path: set 'data' in the config file or pass --data")
     if source == "synth:spiral":
-        dataset = synth_stable_spiral(seed=config.seed, n_val=config.n_val)
+        dataset = synth_stable_spiral(seed=config.train.seed, n_val=config.n_val)
     elif source == "synth:handwriting":
-        dataset = synth_handwriting_like(seed=config.seed, n_val=config.n_val)
+        dataset = synth_handwriting_like(seed=config.train.seed, n_val=config.n_val)
     else:
         path = Path(source)
         if not path.exists():
@@ -215,31 +224,20 @@ def _load_dataset(config: RunConfig) -> Dataset:
     return dataset
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    for key in ("data", "out", "seed", "epochs", "alpha", "mode", "margin",
-                "horizon"):
-        value = getattr(args, key, None)
-        if value is not None:
-            updates[key] = value
-    return replace(config, **updates) if updates else config
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config) if args.config else RunConfig()
-    config = _apply_overrides(config, args)
-    if config.eval_split not in ("train", "val"):
-        raise ConfigError(
-            f"eval_split must be 'train' or 'val', got {config.eval_split!r}")
+    # every train flag but --config is named after the config key it overrides
+    config = load_run_config(args.config, {
+        key: value for key, value in vars(args).items()
+        if key in _DEFAULTS and value is not None})
     dataset = _load_dataset(config)
     model = KoopmanModel.init(n=dataset.dim, d=config.lift_dim,
                               hidden=config.hidden,
-                              activation=config.activation, seed=config.seed,
+                              activation=config.activation, seed=config.train.seed,
                               k_init=config.k_init)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    history = train(model, dataset, config.train_config(),
+    history = train(model, dataset, config.train,
                     checkpoint_path=out / "model.ckpt",
                     checkpoint_every=config.checkpoint_every)
     history.save_csv(out / "history.csv")
@@ -277,12 +275,8 @@ def cmd_project(args: argparse.Namespace) -> int:
     write_matrix(out, projected)
     before = barrier_values(K).rows(args.mode).min()
     after = barrier_values(projected).rows(args.mode).min()
-    diff = K - projected
-    # scaled so entries near the float limit do not overflow the squares
-    scale = float(np.abs(diff).max(initial=0.0)) or 1.0
-    moved = scale * float(np.linalg.norm(diff / scale))
     print(f"min row barrier: {before:.6e} -> {after:.6e}")
-    print(f"displacement (Frobenius): {moved:.6e}")
+    print(f"displacement (Frobenius): {displacement(K, projected):.6e}")
     print(f"wrote {out}")
     return 0
 
@@ -323,19 +317,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", formatter_class=fmt,
                        help="fit a model and write run artifacts")
     p.add_argument("--config", default=None,
-                   help="key = value config file (defaults: RunConfig fields)")
+                   help="key = value config file (defaults: RunConfig and "
+                        "TrainConfig fields)")
     p.add_argument("--data", default=None,
                    help="trajectory CSV, directory, manifest, or synth:<name>")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="run seed")
-    p.add_argument("--epochs", type=int, default=None, help="epoch budget")
-    p.add_argument("--alpha", type=float, default=None,
+    # untyped: each value is parsed like the config key of the same name
+    p.add_argument("--seed", default=None, help="run seed")
+    p.add_argument("--epochs", default=None, help="epoch budget")
+    p.add_argument("--alpha", default=None,
                    help="constraint relaxation rate in (0, 1]")
-    p.add_argument("--mode", choices=("symmetric", "asymmetric"), default=None,
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="row constraint family")
-    p.add_argument("--margin", type=float, default=None,
-                   help="extra stability margin")
-    p.add_argument("--horizon", type=int, default=None,
+    p.add_argument("--margin", default=None, help="extra stability margin")
+    p.add_argument("--horizon", default=None,
                    help="multi-step loss window length")
     p.set_defaults(func=cmd_train)
 
@@ -354,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: zero matrix, i.e. strict feasibility)")
     p.add_argument("--alpha", type=float, default=1.0,
                    help="constraint relaxation rate in (0, 1]")
-    p.add_argument("--mode", choices=("symmetric", "asymmetric"),
-                   default="symmetric", help="row constraint family")
+    p.add_argument("--mode", choices=MODES, default="symmetric",
+                   help="row constraint family")
     p.add_argument("--margin", type=float, default=0.0,
                    help="extra stability margin")
     p.add_argument("--out", default=None,

@@ -250,6 +250,11 @@ class LossWeights:
     horizon: int = 10
 
     def __post_init__(self):
+        for name in ("pred", "lin", "rec"):
+            value = getattr(self, name)
+            # a NaN weight fails every comparison below and would drop its term
+            if not np.isfinite(value):
+                raise ContractError(f"loss weight {name!r} must be finite, got {value}")
         if min(self.pred, self.lin, self.rec) < 0.0:
             raise ContractError("loss weights must be non-negative")
         if max(self.pred, self.lin, self.rec) == 0.0:
@@ -487,8 +492,10 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
     try:
         dt = float(meta["preproc-dt"]) if "preproc-dt" in meta else None
     except ValueError:
-        raise ParseError(f"preproc-dt must be a number, got {meta['preproc-dt']!r}",
-                         path=path) from None
+        dt = np.nan  # reported below, with the non-finite values
+    if dt is not None and not np.isfinite(dt):
+        raise ParseError(f"preproc-dt must be a finite number, got "
+                         f"{meta['preproc-dt']!r}", path=path)
     offset = matrices.pop("preproc.offset", None)
     scale = matrices.pop("preproc.scale", None)
     for name, arr in (("offset", offset), ("scale", scale)):

@@ -33,6 +33,8 @@ brute-force support-pattern enumeration of the same row problems.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
@@ -158,3 +160,16 @@ def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
         out[short] *= 1.0 - 1e-12
     raise NumericError(f"rows {np.flatnonzero(short).tolist()}: projection "
                        f"failed to reach barrier targets {target[short].tolist()}")
+
+
+def displacement(K, K_proj) -> float:
+    """Frobenius distance ||K - K_proj||_F, finite wherever the distance is.
+
+    The difference is scaled by the power of two that brings its largest
+    magnitude into [0.5, 1) before the norm, and back after. That scaling is
+    exact, so the value equals ``np.linalg.norm(K - K_proj)`` bit for bit
+    wherever the squares there neither overflow nor underflow.
+    """
+    diff = np.asarray(K, dtype=np.float64) - np.asarray(K_proj, dtype=np.float64)
+    _, exp = math.frexp(float(np.abs(diff).max(initial=0.0)))
+    return math.ldexp(float(np.linalg.norm(np.ldexp(diff, -exp))), exp)

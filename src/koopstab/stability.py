@@ -33,6 +33,10 @@ def _check_square(K) -> np.ndarray:
     return np.ascontiguousarray(K)
 
 
+# the constraint families BarrierReport.rows selects between
+MODES = ("symmetric", "asymmetric")
+
+
 @dataclass
 class BarrierReport:
     """Per-row barrier values of a square matrix."""
@@ -106,7 +110,7 @@ def certify_stable(K, margin_tol: float = 0.0) -> Certificate:
     )
 
 
-def spectral_radius(K, max_iter: int = 100_000) -> float:
+def spectral_radius(K) -> float:
     """Largest eigenvalue modulus of a square matrix.
 
     Small matrices use the dense eigensolver; above the dense limit an
@@ -120,7 +124,7 @@ def spectral_radius(K, max_iter: int = 100_000) -> float:
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
     try:
         vals = eigs(K, k=min(6, d - 2), which="LM", return_eigenvectors=False,
-                    v0=np.full(d, d ** -0.5), maxiter=max_iter, tol=1e-10)
+                    v0=np.full(d, d ** -0.5), maxiter=100_000, tol=1e-10)
     except (ArpackNoConvergence, ArpackError) as exc:
         raise NumericError(f"spectral radius iteration failed: {exc}") from exc
     return float(np.max(np.abs(vals)))

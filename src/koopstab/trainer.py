@@ -1,6 +1,6 @@
 """Training loop: Adam on all parameters, then the barrier projection on K.
 
-Each iteration */
+Each iteration:
   1. snapshots K (the projection thresholds come from this pre-update value),
   2. evaluates the sliding-window loss on the batch and backpropagates,
   3. applies a bias-corrected Adam update to encoder, decoder, K, and S,
@@ -35,8 +35,8 @@ from .model import (
     save_checkpoint,
     sliding_window_loss,
 )
-from .projection import barrier_threshold, pgd_project
-from .stability import barrier_values, certify_stable, spectral_radius
+from .projection import barrier_threshold, displacement, pgd_project
+from .stability import MODES, barrier_values, spectral_radius
 
 
 @dataclass(frozen=True)
@@ -58,22 +58,26 @@ class TrainConfig:
     patience: int = 200
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ContractError(f"learning rate must be positive, got {self.lr}")
+        # NaN fails every comparison, so each check is written to pass only
+        # for values inside the range
+        if not 0.0 < self.lr < np.inf:
+            raise ContractError(f"lr must be positive and finite, got {self.lr}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ContractError("Adam betas must lie in (0, 1)")
-        if self.eps <= 0.0:
-            raise ContractError("Adam eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise ContractError(f"Adam eps must be positive and finite, got {self.eps}")
         if self.epochs < 1:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 0:
             raise ContractError("batch_size must be >= 0 (0 = full batch)")
         if not 0.0 < self.alpha <= 1.0:
             raise ContractError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.mode not in ("symmetric", "asymmetric"):
+        if self.mode not in MODES:
             raise ContractError(f"unknown projection mode {self.mode!r}")
-        if self.margin < 0.0:
-            raise ContractError("margin must be >= 0")
+        if not 0.0 <= self.margin < 1.0:
+            raise ContractError(f"margin must lie in [0, 1), got {self.margin}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.patience < 1:
             raise ContractError("patience must be >= 1")
 
@@ -115,19 +119,25 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         raise ContractError("parameter and gradient names differ")
     state.step += 1
     t = state.step
-    bias1 = 1.0 - config.beta1 ** t
-    bias2 = 1.0 - config.beta2 ** t
+    b1, b2 = config.beta1, config.beta2
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
     out: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ContractError(f"{name}: gradient shape {g.shape} != {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in parameter {name!r} "
-                               f"at step {t}")
-        m = state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        v = state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * (g * g)
-        out[name] = p - config.lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+    # an overflow leaves Inf or NaN behind, which the explicit checks name
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g = grads[name]
+            if g.shape != p.shape:
+                raise ContractError(f"{name}: gradient shape {g.shape} != {p.shape}")
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient in parameter {name!r} "
+                                   f"at step {t}")
+            m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+            v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
+            out[name] = p - config.lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+            if not (np.all(np.isfinite(out[name])) and np.all(np.isfinite(v))):
+                raise NumericError(f"Adam step {t} left parameter {name!r} or its "
+                                   f"second moment non-finite")
     return out
 
 
@@ -157,7 +167,6 @@ class TrainHistory:
     """Per-iteration log; appending enforces the relaxed barrier contract."""
 
     alpha: float
-    mode: str
     records: list[IterationRecord] = field(default_factory=list)
 
     def append(self, record: IterationRecord) -> None:
@@ -228,7 +237,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
     components_buf: dict[str, float] = {}
     rng = np.random.default_rng(config.seed)
     adam = AdamState.init(model.get_params())
-    history = TrainHistory(alpha=config.alpha, mode=config.mode)
+    history = TrainHistory(alpha=config.alpha)
     score_val = config.early_stop and len(dataset.val) > 0
     best_val = np.inf
     best_epoch = 0
@@ -252,6 +261,12 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
             new_params = adam_step(model.get_params(), bound.gradients(),
                                    adam, config)
             K_tilde = new_params["K"]
+            # finite entries near the float limit can still overflow a row sum
+            with np.errstate(over="ignore", invalid="ignore"):
+                h_unprojected = barrier_values(K_tilde).rows(config.mode)
+            if not np.all(np.isfinite(h_unprojected)):
+                raise NumericError(f"Adam update left K with non-finite row "
+                                   f"barriers at epoch {epoch}")
             K_proj = pgd_project(K_tilde, K_pre, config.alpha, config.mode,
                                  config.margin)
             new_params["K"] = K_proj
@@ -266,9 +281,9 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
                 lin=components_buf.get("lin", 0.0),
                 rec=components_buf.get("rec", 0.0),
                 h_pre=h_pre,
-                h_unprojected=barrier_values(K_tilde).rows(config.mode),
+                h_unprojected=h_unprojected,
                 h_post=barrier_values(K_proj).rows(config.mode),
-                displacement=float(np.linalg.norm(K_tilde - K_proj)),
+                displacement=displacement(K_tilde, K_proj),
                 val_nmse=val_nmse,
                 wall_time=time.perf_counter() - started))
             iteration += 1
@@ -307,4 +322,4 @@ def evaluate(model: KoopmanModel, dataset: Dataset, split: str = "val") -> Metri
     return build_report(
         preds, truths,
         spectral_radius=spectral_radius(model.effective_matrix()),
-        barrier_margin=certify_stable(model.K).report.margin)
+        barrier_margin=barrier_values(model.K).margin)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,19 +20,36 @@ from koopstab.cli import (
 from koopstab.errors import ConfigError, ParseError
 from koopstab.model import LossWeights, load_checkpoint
 from koopstab.stability import certify_stable
+from koopstab.trainer import TrainConfig
 
 
 class TestRunConfig:
     def test_defaults_match_reference_hyperparameters(self):
         c = RunConfig()
-        assert c.pred_weight == 1.0 and c.lin_weight == 0.1
-        assert c.rec_weight == 1.0 and c.alpha == 1.0
-        assert c.lr == 1e-3 and c.hidden == (50, 50, 50)
+        w = c.train.weights
+        assert w.pred == 1.0 and w.lin == 0.1 and w.rec == 1.0 and w.horizon == 10
+        assert c.train.alpha == 1.0 and c.train.lr == 1e-3
+        assert c.train.epochs == 3000 and c.train.batch_size == 0
+        assert c.train.seed == 0 and c.hidden == (50, 50, 50)
         assert c.lift_dim == 20 and c.dt == 0.1
 
-    def test_train_config_carries_weights(self):
-        tc = RunConfig(horizon=4, lin_weight=0.5).train_config()
+    def test_train_config_carries_weights(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("horizon = 4\nlin_weight = 0.5\n")
+        tc = load_run_config(f).train
         assert tc.weights == LossWeights(pred=1.0, lin=0.5, rec=1.0, horizon=4)
+        # and they reach training: the checkpoint records the weights it used
+        cfg = write_config(tmp_path, epochs=1, horizon=4, lin_weight=0.5,
+                           pred_weight=0.25, rec_weight=2.0)
+        assert main(["train", "--config", str(cfg)]) == 0
+        _, _, saved = load_checkpoint(tmp_path / "run" / "model.ckpt")
+        assert (saved["loss_pred"], saved["loss_lin"], saved["loss_rec"],
+                saved["horizon"]) == ("0.25", "0.5", "2.0", "4")
+
+    def test_run_config_declares_no_training_setting(self):
+        run = {f.name for f in fields(RunConfig)}
+        assert run.isdisjoint(f.name for f in fields(TrainConfig))
+        assert run.isdisjoint(f.name for f in fields(LossWeights))
 
     def test_every_field_has_a_default(self):
         RunConfig()  # constructible with no arguments
@@ -47,8 +65,9 @@ class TestConfigFile:
                      "alpha=0.5\n"
                      "early_stop = true\n")
         c = load_run_config(f)
-        assert c.data == "synth:spiral" and c.epochs == 12
-        assert c.hidden == (8, 8) and c.alpha == 0.5 and c.early_stop is True
+        assert c.data == "synth:spiral" and c.train.epochs == 12
+        assert c.hidden == (8, 8) and c.train.alpha == 0.5
+        assert c.train.early_stop is True
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -147,6 +166,36 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("lr", "nan", "lr"), ("lr", "inf", "lr"), ("eps", "nan", "eps"),
+        ("margin", "1.5", "margin"), ("margin", "nan", "margin"),
+        ("seed", "-1", "seed"), ("pred_weight", "nan", "pred"),
+        ("lin_weight", "inf", "lin"), ("dt", "nan", "dt"),
+        ("eval_split", "test", "eval_split")])
+    def test_bad_setting_exits_2_naming_it(self, tmp_path, capsys, key, value, named):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()  # refused before any work
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-2"), ("--epochs", "x"),
+                                             ("--margin", "1.5")])
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), flag, value]) == 2
+        assert flag[2:] in capsys.readouterr().err
+
+    def test_flag_replaces_bad_file_value_before_checking(self, tmp_path):
+        cfg = write_config(tmp_path, epochs=0, seed=-1)
+        assert main(["train", "--config", str(cfg), "--epochs", "2",
+                     "--seed", "4"]) == 0
+        _, _, saved = load_checkpoint(tmp_path / "run" / "model.ckpt")
+        assert (saved["epochs"], saved["seed"]) == ("2", "4")
+
+    def test_overflowing_learning_rate_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, lr="1e308")
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("lift_dim", 0), ("hidden", "6, 0")])
     def test_empty_layer_exits_2(self, tmp_path, capsys, key, value):

@@ -3,8 +3,8 @@
 ``verify`` exits 0 (certified), 1 (refused), 2 (bad input) or 3 (numeric
 failure); every other command exits 0, 2 or 3. Exit 4 marks an exception the
 boundary let through, so it must never occur here, not even for bytes that
-are not UTF-8. Examples are drawn from a fixed seed, so every run checks the
-same inputs.
+are not UTF-8 or a ``train`` config full of bad values. Examples are drawn
+from a fixed seed, so every run checks the same inputs.
 """
 
 import tempfile
@@ -112,3 +112,51 @@ def test_eval_exit_codes_on_corrupted_checkpoints(checkpoint_text, data):
     code = run(lambda tmp: ["eval", str(write(tmp / "model.ckpt", text)),
                             "synth:spiral", "--n-val", "1"])
     assert code in {0, 2, 3}
+
+
+# every train config key but ``out`` with values a run accepts; sizes and
+# epochs stay small so that no example allocates or trains at scale
+TRAIN_VALUES = {
+    "data": ["synth:spiral"], "lift_dim": ["1", "2", "4"],
+    "hidden": ["3", "2, 4", "4 4 4"], "activation": ["tanh", "relu", "identity"],
+    "k_init": ["certified", "infeasible"], "dt": ["0", "0.1", "0.25"],
+    "center": ["true", "false"], "normalize": ["yes", "0"], "n_val": ["0", "1", "2"],
+    "checkpoint_every": ["0", "1", "2"], "eval_split": ["train", "val"],
+    "lr": ["1e-3", "0.05"], "beta1": ["0.9", "0.5"], "beta2": ["0.999", "0.9"],
+    "eps": ["1e-8", "1e-3"], "epochs": ["1", "2", "3"], "batch_size": ["0", "1", "3"],
+    "pred_weight": ["0", "1.0"], "lin_weight": ["0", "0.1"], "rec_weight": ["0", "1"],
+    "horizon": ["1", "3", "10"], "alpha": ["1", "0.5", "0.1"],
+    "mode": ["symmetric", "asymmetric"], "margin": ["0", "0.01", "0.5"],
+    "seed": ["0", "3", "12"], "early_stop": ["true", "false"], "patience": ["1", "5"],
+}
+BAD_TOKENS = ["nan", "inf", "-inf", "-1", "0", "x", "", "1e400"]
+# the smallest run, under whatever an example sets
+TRAIN_BASE = {"data": "synth:spiral", "lift_dim": "2", "hidden": "3", "epochs": "1",
+              "n_val": "1", "horizon": "3"}
+
+
+@st.composite
+def train_configs(draw):
+    config = {key: draw(st.sampled_from(values)) for key, values in TRAIN_VALUES.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(TRAIN_VALUES)), max_size=3,
+                             unique=True)):
+        config[key] = draw(st.sampled_from(BAD_TOKENS))
+    return config
+
+
+@SETTINGS
+@given(config=train_configs())
+@example(config={"seed": "-1"})
+@example(config={"pred_weight": "nan"})
+@example(config={"lr": "nan"})
+@example(config={"eps": "nan"})
+@example(config={"margin": "1.5"})
+@example(config={"dt": "nan"})
+@example(config={"lr": "1e308"})
+def test_train_exit_codes_on_random_configs(config):
+    def argv(tmp):
+        settings = {**TRAIN_BASE, **config, "out": str(tmp / "run")}
+        text = "".join(f"{key} = {value}\n" for key, value in settings.items())
+        return ["train", "--config", str(write(tmp / "run.cfg", text))]
+
+    assert run(argv) in {0, 2, 3}

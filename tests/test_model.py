@@ -230,6 +230,13 @@ class TestLossWeights:
         with pytest.raises(ContractError):
             LossWeights(pred=0.0, lin=0.0, rec=0.0)
 
+    @pytest.mark.parametrize("name", ["pred", "lin", "rec"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        # NaN passes every comparison-based check, so it needs its own
+        with pytest.raises(ContractError, match=name):
+            LossWeights(**{name: value})
+
     def test_zero_horizon_rejected(self):
         with pytest.raises(ContractError):
             LossWeights(horizon=0)
@@ -443,6 +450,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("old, new", [
         ("preproc-dt 0.1", "preproc-dt x"),
         ("matrix preproc.offset 1 2\n0.25 -3.5", "matrix preproc.offset 0 2"),
+        ("preproc-dt 0.1", "preproc-dt nan"),
     ])
     def test_bad_preprocessing_rejected(self, tmp_path, old, new):
         path = tmp_path / "m.ckpt"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koopstab.errors import ContractError, DimensionError
-from koopstab.projection import barrier_threshold, pgd_project, project_row
+from koopstab.projection import barrier_threshold, displacement, pgd_project, project_row
 from koopstab.stability import barrier_values, certify_stable
 
 from helpers import brute_force_row_qp
@@ -300,3 +300,24 @@ class TestPgdProject:
         mats[which][1, 2] = bad
         with pytest.raises(ContractError, match="finite"):
             pgd_project(mats["K_tilde"], mats["K_prev"], alpha=1.0)
+
+
+class TestDisplacement:
+    def test_equals_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for trial in range(300):
+            d = int(rng.integers(1, 30))
+            scale = 10.0 ** rng.uniform(-8, 8, size=(d, d))
+            K = rng.normal(size=(d, d)) * scale
+            P = rng.normal(size=(d, d)) * scale
+            assert displacement(K, P) == float(np.linalg.norm(K - P)), trial
+
+    def test_entries_near_1e200_give_a_finite_distance(self):
+        K = np.array([[1e200, -3e200], [2e200, 0.5]])
+        moved = displacement(K, np.zeros((2, 2)))
+        assert np.isfinite(moved)
+        assert moved == pytest.approx(np.sqrt(14.0) * 1e200, rel=1e-12)
+
+    def test_zero_distance(self):
+        K = np.eye(3)
+        assert displacement(K, K) == 0.0

@@ -6,7 +6,7 @@ import pytest
 from koopstab.data import Trajectory, synth_stable_spiral
 from koopstab.errors import ContractError, DataError, DegenerateDataError, NumericError
 from koopstab.model import KoopmanModel, LossWeights, MlpParams, load_checkpoint
-from koopstab.stability import barrier_values, certify_stable
+from koopstab.stability import barrier_values, certify_stable, spectral_radius
 from koopstab.trainer import (
     AdamState,
     IterationRecord,
@@ -44,7 +44,10 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         dict(lr=0.0), dict(beta1=1.0), dict(beta2=0.0), dict(eps=0.0),
         dict(epochs=0), dict(batch_size=-1), dict(alpha=0.0), dict(alpha=1.5),
-        dict(mode="spectral"), dict(margin=-0.1), dict(patience=0)])
+        dict(mode="spectral"), dict(margin=-0.1), dict(patience=0),
+        dict(lr=float("nan")), dict(lr=float("inf")), dict(eps=float("nan")),
+        dict(eps=float("inf")), dict(margin=1.0), dict(margin=1.5),
+        dict(margin=float("nan")), dict(seed=-1)])
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(ContractError):
             TrainConfig(**bad)
@@ -90,6 +93,17 @@ class TestAdamStep:
         with pytest.raises(NumericError):
             adam_step(params, grads, AdamState.init(params), TrainConfig())
 
+    @pytest.mark.parametrize("p, g", [
+        (1.5e308, -1.0),  # the update itself overflows
+        (0.0, 1e200),     # the second moment overflows
+    ])
+    def test_overflowing_update_rejected_naming_parameter(self, p, g):
+        params = {"w": np.array([[0.0, p]])}
+        grads = {"w": np.array([[0.0, g]])}
+        # an overflow warning would fail here too: pytest turns it into an error
+        with pytest.raises(NumericError, match="'w'"):
+            adam_step(params, grads, AdamState.init(params), TrainConfig(lr=1e308))
+
     def test_name_mismatch_rejected(self):
         params = {"w": np.zeros(2)}
         with pytest.raises(ContractError):
@@ -107,18 +121,18 @@ class TestTrainHistory:
             displacement=0.0, val_nmse=float("nan"), wall_time=0.0)
 
     def test_contract_violation_rejected(self):
-        history = TrainHistory(alpha=0.5, mode="symmetric")
+        history = TrainHistory(alpha=0.5)
         with pytest.raises(ContractError):
             history.append(self._record(h_pre=[-0.4], h_post=[-0.3]))
 
     def test_contract_satisfied_accepted(self):
-        history = TrainHistory(alpha=0.5, mode="symmetric")
+        history = TrainHistory(alpha=0.5)
         history.append(self._record(h_pre=[-0.4], h_post=[-0.2]))
         history.append(self._record(h_pre=[0.3], h_post=[0.0], it=1))
         assert len(history) == 2
 
     def test_csv_has_stable_header_and_no_wall_clock(self):
-        history = TrainHistory(alpha=1.0, mode="symmetric")
+        history = TrainHistory(alpha=1.0)
         history.append(self._record(h_pre=[0.1], h_post=[0.1]))
         lines = history.to_csv().splitlines()
         assert lines[0] == ("iteration,epoch,total,pred,lin,rec,margin_pre,"
@@ -289,3 +303,20 @@ class TestEvaluate:
         report = evaluate(model, dataset, split="train")
         assert report.barrier_margin == pytest.approx(
             certify_stable(model.K).report.margin)
+
+    def test_one_spectral_radius_per_evaluation(self, monkeypatch):
+        model = small_model(seed=26)
+        dataset = small_dataset()
+        calls = []
+
+        def counting(K):
+            calls.append(K)
+            return spectral_radius(K)
+
+        # the trainer's own import and the one certify_stable looks up
+        monkeypatch.setattr("koopstab.trainer.spectral_radius", counting)
+        monkeypatch.setattr("koopstab.stability.spectral_radius", counting)
+        report = evaluate(model, dataset, split="val")
+        assert len(calls) == 1
+        assert report.spectral_radius == spectral_radius(model.effective_matrix())
+        assert report.barrier_margin == certify_stable(model.K).report.margin
