@@ -11,7 +11,10 @@ projection splits into d independent d-variable problems. Two modes exist:
       <=>  |x_i| + sum_{j != i} |x_j| <= 1 - tau,
 
   so the projection is the classic Euclidean projection onto an L1 ball of
-  radius 1 - tau (sort and soft-threshold, exact in O(d log d)).
+  radius 1 - tau (sort and soft-threshold, exact in O(d log d); Duchi et
+  al., ICML 2008; Condat, Math. Prog. 2016). One kernel solves a whole
+  block of rows at once, each row against its own radius, with numpy
+  operations along the row axis instead of a Python loop over rows.
 
 * asymmetric: the branch containing -x_i is dropped (useful for smoothly
   sampled data), leaving {x : sum_{j != i} |x_j| - x_i <= 1 - tau}. A
@@ -25,10 +28,13 @@ rows that already satisfy the stability condition must keep satisfying it,
 while infeasible rows are only required not to regress (and, for
 alpha < 1, to approach the feasible set geometrically).
 
-``project_row`` is the one entry to both row projections; ``pgd_project``
-applies it to every row that misses its threshold, measuring rows only with
-the certifier's own ``barrier_values``. The test suite checks it against a
-brute-force support-pattern enumeration of the same row problems.
+``project_row`` is the one-row entry to both row projections; in symmetric
+mode it is a one-row view of the same block kernel. ``pgd_project`` measures
+rows only with the certifier's own ``barrier_values``; in symmetric mode it
+hands every row that misses its threshold to the kernel in one call, and in
+asymmetric mode it calls ``project_row`` row by row. The test suite checks
+the rows against a brute-force support-pattern enumeration of the same row
+problems, and the block kernel bit for bit against a row-by-row reference.
 """
 
 from __future__ import annotations
@@ -48,29 +54,39 @@ def barrier_threshold(h_prev, alpha: float):
     return np.minimum(0.0, alpha * np.asarray(h_prev, dtype=np.float64))
 
 
-def _l1_project(y: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of y onto {x : ||x||_1 <= radius}."""
-    if radius <= 0.0:
-        return np.zeros_like(y)
-    mags = np.abs(y)
-    if mags.sum() <= radius:
-        return y.copy()
-    u = np.sort(mags)[::-1]
-    cumulative = np.cumsum(u)
-    counts = np.arange(1, y.size + 1)
+def _l1_project(Y: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of Y onto {x : ||x||_1 <= radius}.
+
+    ``Y`` is a C-ordered block of rows and ``radii`` holds one positive
+    radius per row. Each row's result depends only on that row and its
+    radius: a sort and a cumsum along the row, a per-row threshold and up to
+    four per-row rescales. So a row gets the same bits in any block.
+    """
+    mags = np.abs(Y)
+    out = Y.copy()
+    over = np.flatnonzero(~(mags.sum(axis=1) <= radii))
+    if over.size == 0:
+        return out
+    mags, radius = mags[over], radii[over]
+    u = np.sort(mags, axis=1)[:, ::-1]
+    cumulative = np.cumsum(u, axis=1)
+    counts = np.arange(1, Y.shape[1] + 1)
+    hits = u * counts > cumulative - radius[:, None]
     # index 0 always qualifies in exact arithmetic, but rounding loses it
-    # when the entries dwarf the radius
-    hits = np.nonzero(u * counts > cumulative - radius)[0]
-    rho = hits[-1] if hits.size else 0
-    theta = (cumulative[rho] - radius) / (rho + 1.0)
-    x = np.sign(y) * np.maximum(mags - theta, 0.0)
-    # float roundoff can leave the result a few ulp outside; rescale down
+    # when the entries dwarf the radius; a row without hits takes rho = 0
+    rho = np.where(hits.any(axis=1), Y.shape[1] - 1 - np.argmax(hits[:, ::-1], axis=1), 0)
+    theta = (np.take_along_axis(cumulative, rho[:, None], axis=1)[:, 0]
+             - radius) / (rho + 1.0)
+    x = np.sign(Y[over]) * np.maximum(mags - theta[:, None], 0.0)
+    # float roundoff can leave a row a few ulp outside; rescale it down
     for _ in range(4):
-        s = np.abs(x).sum()
-        if s <= radius:
+        s = np.abs(x).sum(axis=1)
+        still = ~(s <= radius)
+        if not still.any():
             break
-        x *= radius / s
-    return x
+        x[still] *= (radius[still] / s[still])[:, None]
+    out[over] = x
+    return out
 
 
 def _asym_project(y: np.ndarray, i: int, radius: float) -> np.ndarray:
@@ -117,7 +133,7 @@ def project_row(y, i: int, tau: float, mode: str) -> np.ndarray:
         if radius <= 0.0:
             raise ContractError(
                 f"threshold {tau} leaves an empty interior (1 - tau <= 0)")
-        return _l1_project(y, radius)
+        return _l1_project(y[None, :], np.array([radius]))[0]
     if mode == "asymmetric":
         return _asym_project(y, i, radius)
     raise ContractError(f"unknown projection mode {mode!r}")
@@ -133,6 +149,11 @@ def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
     marginal certificate for a strict one. Rows are tested with the
     certifier's own ``barrier_values``, so the fresh C-ordered result
     certifies at ``margin_tol=0``.
+
+    In symmetric mode every row below its target goes through one call of
+    the block L1 kernel, with radius 1 - target per row; the result is bit
+    for bit what projecting the rows one at a time gives. Asymmetric mode
+    projects the rows one at a time.
     """
     K_tilde = np.asarray(K_tilde, dtype=np.float64)
     K_prev = np.asarray(K_prev, dtype=np.float64)
@@ -148,8 +169,12 @@ def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
 
     target = barrier_threshold(barrier_values(K_prev).rows(mode), alpha) + margin
     out = np.array(K_tilde, order="C")
-    for i in np.flatnonzero(barrier_values(out).rows(mode) < target):
-        out[i] = project_row(out[i], i, target[i], mode)
+    rows = np.flatnonzero(barrier_values(out).rows(mode) < target)
+    if mode == "symmetric":
+        out[rows] = _l1_project(out[rows], 1.0 - target[rows])
+    else:
+        for i in rows:
+            out[i] = project_row(out[i], i, target[i], mode)
     # scaling a row toward 0 raises h by (1 - h) per unit shrink, so a
     # relative 1e-12 nudge absorbs any ulp-level shortfall left by the
     # projection's own rounding

@@ -18,6 +18,8 @@ only (``IterationRecord.wall_time``).
 
 from __future__ import annotations
 
+import ctypes
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +39,44 @@ from .model import (
 )
 from .projection import barrier_threshold, displacement, pgd_project
 from .stability import MODES, barrier_values, spectral_radius
+
+
+# glibc's mallopt parameters (malloc.h) and the values keep_heap sets: no
+# array below 32 MB is mmapped on its own, and up to 512 MB of freed memory
+# at the top of the heap stays with the process
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 512 << 20
+
+
+def _find_mallopt():
+    """glibc's ``mallopt``, or None where the C library is not glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return None
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def keep_heap() -> None:
+    """Keep freed heap memory in the process instead of returning it to the OS.
+
+    Each training step frees its tape at once. With glibc's default
+    thresholds the allocator then trims the heap or unmaps its large blocks,
+    and the next step faults the same pages back in. This raises both
+    thresholds for the whole process, so freed memory is reused instead.
+    Calling it again sets the same values; without glibc it does nothing.
+    """
+    mallopt = _find_mallopt()
+    if mallopt is None:
+        return
+    mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -226,8 +266,10 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
 
     With ``checkpoint_path`` set, the model is saved every
     ``checkpoint_every`` epochs (and at the end), so a numeric abort leaves
-    the most recent checkpoint on disk.
+    the most recent checkpoint on disk. Training first calls ``keep_heap``,
+    which tunes the allocator of the whole process.
     """
+    keep_heap()
     train_trajs = [t.states for t in dataset.train]
     if not train_trajs:
         raise DataError("dataset has no train split")
@@ -251,12 +293,15 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
 
             tape = Tape()
             bound = BoundModel(tape, model)
-            loss = sliding_window_loss(bound, batch, config.weights,
-                                       components=components_buf)
-            total = float(loss.value[0, 0])
-            if not np.isfinite(total):
-                raise NumericError(f"loss became non-finite at epoch {epoch}")
-            tape.backward(loss)
+            # an overflow leaves Inf or NaN behind, which the loss check here
+            # and adam_step's gradient check name
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = sliding_window_loss(bound, batch, config.weights,
+                                           components=components_buf)
+                total = float(loss.value[0, 0])
+                if not np.isfinite(total):
+                    raise NumericError(f"loss became non-finite at epoch {epoch}")
+                tape.backward(loss)
 
             new_params = adam_step(model.get_params(), bound.gradients(),
                                    adam, config)

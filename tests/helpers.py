@@ -6,6 +6,9 @@ reference implementations the package's fast paths are checked against.
   it over the explicit windows.
 * ``brute_force_row_qp`` solves the row projections by enumerating support
   patterns; ``project_row`` must agree with it.
+* ``pgd_project_rowwise`` is ``pgd_project`` with its symmetric rows
+  projected one at a time by the one-row sort-and-threshold
+  ``l1_project_row``; the block kernel must match it bit for bit.
 * ``Polyhedron``, ``unit_hypercube``, ``scale_set`` and
   ``inward_pointing_check`` decide forward invariance of a vertex-listed
   polytope, which the hypercube certificate must agree with.
@@ -22,7 +25,8 @@ from koopstab import autodiff as ad
 from koopstab.autodiff import DiffValue
 from koopstab.errors import ContractError, DataError, DimensionError, NumericError
 from koopstab.model import BoundModel, LossWeights, _check_horizon, _states_matrix
-from koopstab.stability import _check_square
+from koopstab.projection import barrier_threshold, project_row
+from koopstab.stability import _check_square, barrier_values
 
 FEASIBILITY_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
@@ -194,6 +198,46 @@ def brute_force_row_qp(y, i: int, tau: float, mode: str = "symmetric") -> np.nda
     dist = ((candidates - y[None, :]) ** 2).sum(axis=1)
     dist[~valid] = np.inf
     return candidates[int(np.argmin(dist))]
+
+
+def l1_project_row(y: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of one row onto {x : ||x||_1 <= radius}."""
+    if radius <= 0.0:
+        return np.zeros_like(y)
+    mags = np.abs(y)
+    if mags.sum() <= radius:
+        return y.copy()
+    u = np.sort(mags)[::-1]
+    cumulative = np.cumsum(u)
+    counts = np.arange(1, y.size + 1)
+    hits = np.nonzero(u * counts > cumulative - radius)[0]
+    rho = hits[-1] if hits.size else 0
+    theta = (cumulative[rho] - radius) / (rho + 1.0)
+    x = np.sign(y) * np.maximum(mags - theta, 0.0)
+    for _ in range(4):
+        s = np.abs(x).sum()
+        if s <= radius:
+            break
+        x *= radius / s
+    return x
+
+
+def pgd_project_rowwise(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
+                        margin: float = 0.0) -> np.ndarray:
+    """``pgd_project`` on finite square input, projecting one row at a time."""
+    target = barrier_threshold(barrier_values(K_prev).rows(mode), alpha) + margin
+    out = np.array(K_tilde, dtype=np.float64, order="C")
+    for i in np.flatnonzero(barrier_values(out).rows(mode) < target):
+        if mode == "symmetric":
+            out[i] = l1_project_row(out[i], 1.0 - target[i])
+        else:
+            out[i] = project_row(out[i], i, target[i], mode)
+    for _ in range(8):
+        short = barrier_values(out).rows(mode) < target
+        if not short.any():
+            return out
+        out[short] *= 1.0 - 1e-12
+    raise NumericError("row-by-row projection failed to reach its targets")
 
 
 # ------------------------------------- polyhedral invariance

@@ -197,6 +197,14 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["1e150", "1e200"])
+    def test_forward_overflow_after_a_huge_step_exits_3(self, tmp_path, capsys, lr):
+        # the first step's parameters overflow the next step's forward pass;
+        # the loss or gradient check names it, not a RuntimeWarning
+        cfg = write_config(tmp_path, lr=lr)
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [("lift_dim", 0), ("hidden", "6, 0")])
     def test_empty_layer_exits_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, **{key: value})

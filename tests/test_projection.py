@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from koopstab import projection
 from koopstab.errors import ContractError, DimensionError
 from koopstab.projection import barrier_threshold, displacement, pgd_project, project_row
 from koopstab.stability import barrier_values, certify_stable
 
-from helpers import brute_force_row_qp
+from helpers import brute_force_row_qp, l1_project_row, pgd_project_rowwise
 
 
 class TestBarrierThreshold:
@@ -300,6 +301,78 @@ class TestPgdProject:
         mats[which][1, 2] = bad
         with pytest.raises(ContractError, match="finite"):
             pgd_project(mats["K_tilde"], mats["K_prev"], alpha=1.0)
+
+
+class TestBlockKernel:
+    """The block L1 kernel gives every row the bits of the one-row projection."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    @pytest.mark.parametrize("margin", [0.0, 1e-3, 0.3])
+    def test_pgd_project_matches_row_by_row(self, alpha, margin):
+        rng = np.random.default_rng(int(alpha * 1000 + margin * 1e4))
+        for d in (1, 2, 3, 5, 8, 9, 16, 17, 20, 33, 64, 100, 128, 129, 200, 220):
+            for scale in (0.05, 0.3, 1.5):
+                K_prev = rng.normal(0.0, scale, size=(d, d))
+                K_tilde = K_prev + rng.normal(0.0, 0.3 * scale, size=(d, d))
+                fast = pgd_project(K_tilde, K_prev, alpha, margin=margin)
+                slow = pgd_project_rowwise(K_tilde, K_prev, alpha, margin=margin)
+                assert np.array_equal(fast, slow), (d, scale)
+
+    def test_random_sizes_match_row_by_row(self):
+        rng = np.random.default_rng(52)
+        for _ in range(60):
+            d = int(rng.integers(1, 221))
+            alpha = float(rng.choice([1.0, 0.5, 0.1]))
+            margin = float(rng.choice([0.0, 1e-3, 0.3]))
+            K_prev = rng.normal(0.0, rng.choice([0.01, 0.2, 1.0]), size=(d, d))
+            K_tilde = rng.normal(0.0, rng.choice([0.01, 0.2, 1.0]), size=(d, d))
+            assert np.array_equal(pgd_project(K_tilde, K_prev, alpha, margin=margin),
+                                  pgd_project_rowwise(K_tilde, K_prev, alpha, margin=margin))
+
+    def test_project_row_matches_one_row_projection(self):
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            d = int(rng.integers(1, 221))
+            y = rng.normal(0.0, rng.choice([0.01, 0.3, 3.0]), size=d)
+            tau = float(rng.uniform(-1.0, 0.5))
+            assert np.array_equal(project_row(y, 0, tau, "symmetric"),
+                                  l1_project_row(y, 1.0 - tau))
+
+    def test_selected_rows_within_the_radius_are_copied(self):
+        # the barrier's arithmetic (1 - |K_ii| - (sum|row| - |K_ii|)) can read
+        # a row as short of its target whose plain L1 sum is within the
+        # radius; the kernel copies such a row and the nudge lifts it
+        rng = np.random.default_rng(54)
+        margin = 1e-3
+        radius = 1.0 - margin
+        found = 0
+        for _ in range(400):
+            d = int(rng.integers(2, 8))
+            K = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-3, 0, size=(d, d))
+            K *= (radius / np.abs(K).sum(axis=1))[:, None]
+            selected = barrier_values(K).h < margin
+            within = np.abs(K).sum(axis=1) <= radius
+            if not (selected & within).any():
+                continue
+            found += 1
+            rows = K[selected & within]
+            assert np.array_equal(
+                projection._l1_project(rows, np.full(len(rows), radius)), rows)
+            assert np.array_equal(
+                pgd_project(K, np.zeros_like(K), 1.0, margin=margin),
+                pgd_project_rowwise(K, np.zeros_like(K), 1.0, margin=margin))
+        assert found >= 20
+
+    def test_rows_that_dwarf_the_radius_fall_back_to_rho_zero(self):
+        # 2**53 + 4 - 1 rounds back to 2**53 + 4, so no sort index qualifies
+        big = 2.0 ** 53 + 4.0
+        Y = np.array([[big, 0.0, 0.0], [0.5, -2.0, 1.0], [-big, big, 3.0],
+                      [0.1, 0.1, 0.1]])
+        radii = np.array([1.0, 1.0, 0.5, 1.0])
+        out = projection._l1_project(Y, radii)
+        for row, radius, got in zip(Y, radii, out):
+            assert np.array_equal(got, l1_project_row(row, radius))
+        assert np.all(np.abs(out).sum(axis=1) <= radii)
 
 
 class TestDisplacement:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from koopstab import trainer
 from koopstab.data import Trajectory, synth_stable_spiral
 from koopstab.errors import ContractError, DataError, DegenerateDataError, NumericError
 from koopstab.model import KoopmanModel, LossWeights, MlpParams, load_checkpoint
@@ -33,6 +34,46 @@ def small_model(seed=21, **over):
     kwargs = dict(n=2, d=3, hidden=(8,), seed=seed)
     kwargs.update(over)
     return KoopmanModel.init(**kwargs)
+
+
+def _raising(exc):
+    def call(*args):
+        raise exc
+    return call
+
+
+class TestKeepHeap:
+    def test_calling_twice_sets_the_same_thresholds(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trainer, "_find_mallopt",
+                            lambda: lambda param, value: calls.append((param, value)))
+        trainer.keep_heap()
+        trainer.keep_heap()
+        assert len(calls) == 4 and calls[:2] == calls[2:]
+        assert dict(calls) == {trainer._M_MMAP_THRESHOLD: trainer.HEAP_MMAP_THRESHOLD,
+                               trainer._M_TRIM_THRESHOLD: trainer.HEAP_TRIM_THRESHOLD}
+
+    def test_real_call_twice_is_harmless(self):
+        assert trainer.keep_heap() is None
+        assert trainer.keep_heap() is None
+
+    @pytest.mark.parametrize("module, name, replacement", [
+        ("os", "confstr", lambda name: "musl 1.2"),
+        ("os", "confstr", _raising(ValueError("unknown name"))),
+        ("ctypes", "CDLL", lambda name: object()),
+        ("ctypes", "CDLL", _raising(OSError("no C library"))),
+    ], ids=["not_glibc", "no_confstr", "no_symbol", "no_library"])
+    def test_returns_silently_when_mallopt_is_not_found(self, monkeypatch, module,
+                                                         name, replacement):
+        monkeypatch.setattr(getattr(trainer, module), name, replacement)
+        assert trainer._find_mallopt() is None
+        assert trainer.keep_heap() is None
+
+    def test_train_calls_it_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trainer, "keep_heap", lambda: calls.append("keep_heap"))
+        train(small_model(), small_dataset(), small_config(epochs=2))
+        assert calls == ["keep_heap"]
 
 
 class TestTrainConfig:
