@@ -225,29 +225,17 @@ def resample_dataset(dataset: Dataset, dt: float) -> Dataset:
                    preprocessing=replace(dataset.preprocessing, dt=dt))
 
 
-def center_to_equilibrium(dataset: Dataset, mode: str = "final-point",
-                          point=None) -> Dataset:
-    """Shift states so the equilibrium sits at the origin.
+def center_to_equilibrium(dataset: Dataset) -> Dataset:
+    """Shift states so the mean final state of all trajectories is the origin.
 
-    ``final-point`` uses the mean final state across all trajectories;
-    ``explicit-point`` uses the given point. Must precede normalization so
-    the recorded transform stays a plain shift in source units.
+    Must precede normalization so the recorded transform stays a plain shift
+    in source units.
     """
     if not dataset.trajectories:
         raise DataError("cannot center an empty dataset")
     if dataset.preprocessing.scale is not None:
         raise ContractError("center before normalizing, not after")
-    if mode == "final-point":
-        offset = np.mean([t.states[-1] for t in dataset.trajectories], axis=0)
-    elif mode == "explicit-point":
-        if point is None:
-            raise ContractError("explicit-point mode needs a point")
-        offset = np.asarray(point, dtype=np.float64)
-        if offset.shape != (dataset.dim,):
-            raise DimensionError(
-                f"point has shape {offset.shape}, expected ({dataset.dim},)")
-    else:
-        raise ContractError(f"unknown centering mode {mode!r}")
+    offset = np.mean([t.states[-1] for t in dataset.trajectories], axis=0)
     previous = dataset.preprocessing.offset
     total = offset if previous is None else previous + offset
     shifted = dataset.map_states(lambda s: s - offset)
@@ -311,56 +299,34 @@ def synth_stable_spiral(n_traj: int = 7, length: int = 80, dt: float = 0.1,
                    preprocessing=Preprocessing(dt=dt))
 
 
-def _shape_curve(kind: str, s: np.ndarray, params: dict) -> np.ndarray:
-    """Parametric 2-D curves (mm) that reach exactly (0, 0) at s = 1."""
-    fade = 1.0 - s
-    if kind == "s-curve":
-        x = params["amp_x"] * fade
-        y = params["amp_y"] * fade * np.sin(2.0 * np.pi * s + params["phase"])
-    elif kind == "hook":
-        angle = params["phase"] + 0.6 * np.pi * s
-        radius = params["amp_x"] * fade * (0.4 + 0.6 * fade)
-        x = radius * np.cos(angle)
-        y = radius * np.sin(angle)
-    elif kind == "spiral-in":
-        angle = params["phase"] + 4.0 * np.pi * s
-        x = params["amp_x"] * fade * np.cos(angle)
-        y = params["amp_y"] * fade * np.sin(angle)
-    else:
-        raise ContractError(f"unknown shape kind {kind!r}")
-    return np.column_stack([x, y])
+def synth_handwriting_like(n_traj: int = 7, noise: float = 0.0, seed: int = 0,
+                           n_val: int = 2) -> Dataset:
+    """Smooth S-shaped 2-D pen strokes (mm) converging to the origin.
 
-
-def synth_handwriting_like(n_traj: int = 7, shape: str = "s-curve",
-                           noise: float = 0.0, seed: int = 0, dt: float = 0.1,
-                           duration: float = 8.0, n_val: int = 2) -> Dataset:
-    """Smooth pen-stroke-like 2-D demonstrations converging to the origin.
-
-    Each trajectory perturbs the base curve's amplitude and phase, mimicking
-    repeated demonstrations of one shape at desk scale (tens of mm). Additive
-    noise is faded out toward the end so every final point is exactly the
-    origin.
+    Each stroke samples x = amp_x (1 - s), y = amp_y (1 - s) sin(2 pi s +
+    phase) every 0.1 s for 8 s (s runs from 0 to 1), with the amplitudes
+    and phase perturbed per trajectory, mimicking repeated demonstrations of
+    one shape at desk scale (tens of mm). Additive noise is faded out toward
+    the end so every final point is exactly the origin.
     """
     rng = np.random.default_rng(seed)
-    n_samples = int(round(duration / dt)) + 1
-    s = np.linspace(0.0, 1.0, n_samples)
-    times = dt * np.arange(n_samples)
+    s = np.linspace(0.0, 1.0, 81)
+    fade = 1.0 - s
+    times = 0.1 * np.arange(81)
     trajectories = []
     for _ in range(n_traj):
-        params = {
-            "amp_x": 30.0 * (1.0 + rng.uniform(-0.05, 0.05)),
-            "amp_y": 20.0 * (1.0 + rng.uniform(-0.05, 0.05)),
-            "phase": rng.uniform(-0.1, 0.1),
-        }
-        states = _shape_curve(shape, s, params)
+        amp_x = 30.0 * (1.0 + rng.uniform(-0.05, 0.05))
+        amp_y = 20.0 * (1.0 + rng.uniform(-0.05, 0.05))
+        phase = rng.uniform(-0.1, 0.1)
+        states = np.column_stack(
+            [amp_x * fade, amp_y * fade * np.sin(2.0 * np.pi * s + phase)])
         if noise:
-            states = states + noise * (1.0 - s)[:, None] * rng.normal(
-                size=states.shape)
+            states = states + noise * fade[:, None] * rng.normal(size=states.shape)
         states[-1] = 0.0
         trajectories.append(Trajectory(times=times, states=states))
     return Dataset(trajectories=tuple(trajectories),
                    split=assign_split(n_traj, n_val),
-                   preprocessing=Preprocessing(dt=dt))
+                   preprocessing=Preprocessing(dt=0.1))
 
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .errors import ContractError, DataError, DegenerateDataError, DimensionErro
 
 # relative singular-value cutoff for the pseudoinverse
 SVD_RCOND = 1e-10
-
-Dictionary = Union[str, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,7 @@ def monomial_features(X: np.ndarray, degree: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _resolve_dictionary(dictionary: Dictionary) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(dictionary):
-        return dictionary
+def _resolve_dictionary(dictionary: str) -> Callable[[np.ndarray], np.ndarray]:
     if dictionary == "identity":
         return lambda X: X
     if isinstance(dictionary, str) and dictionary.startswith("monomials:"):
@@ -90,18 +86,17 @@ def _resolve_dictionary(dictionary: Dictionary) -> Callable[[np.ndarray], np.nda
                 f"monomial degree must be an integer in {dictionary!r}") from None
         return lambda X: monomial_features(X, degree)
     raise ContractError(
-        f"unknown dictionary {dictionary!r}; expected 'identity', 'monomials:<p>' "
-        "or a callable mapping (n x N) states to (d x N) observables")
+        f"unknown dictionary {dictionary!r}; expected 'identity' or 'monomials:<p>'")
 
 
 def lift_dataset(trajectories: Sequence[np.ndarray],
-                 dictionary: Dictionary = "identity") -> SnapshotPair:
+                 dictionary: str = "identity") -> SnapshotPair:
     """Assemble consecutive-pair snapshot matrices from raw trajectories.
 
     Each trajectory is a (T, n) array of row-stacked states; a trajectory of
-    length T contributes T - 1 column pairs. The dictionary maps column-
-    stacked states (n x N) to observables (d x N) and may be a trained
-    encoder's batch function.
+    length T contributes T - 1 column pairs. The dictionary, ``identity`` or
+    ``monomials:<p>`` (every monomial of degree 1 to p), maps column-stacked
+    states (n x N) to observables (d x N).
     """
     lift = _resolve_dictionary(dictionary)
     before, after = [], []

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DegenerateDataError, DimensionError
+from .errors import DataError, DegenerateDataError, DimensionError, NumericError
 
 
 def _as_pairs(predicted, truth) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -60,7 +60,10 @@ def _truth_variance(x: np.ndarray, k: int) -> float:
 
 
 def nmse_single(predicted: np.ndarray, truth: np.ndarray, k: int = 0) -> float:
-    mse = float(np.mean(np.sum((predicted - truth) ** 2, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mse = float(np.mean(np.sum((predicted - truth) ** 2, axis=1)))
+    if not np.isfinite(mse):
+        raise NumericError(f"trajectory {k}: non-finite prediction error")
     return mse / _truth_variance(truth, k)
 
 

@@ -167,11 +167,8 @@ class KoopmanModel:
         """The matrix S^-1 K S that advances lifted coordinates."""
         return ad.checked_inverse(self.S) @ self.K @ self.S
 
-    def rollout(self, psi0, horizon: int) -> np.ndarray:
-        """Lifted iterates [K'z, K'^2 z, ..., K'^horizon z], rows stacked."""
-        return self._rollout(self.effective_matrix(), psi0, horizon)
-
     def _rollout(self, Keff: np.ndarray, psi0, horizon: int) -> np.ndarray:
+        """Lifted iterates [Keff z, Keff^2 z, ..., Keff^horizon z], rows stacked."""
         if horizon < 1:
             raise ContractError(f"horizon must be >= 1, got {horizon}")
         z = np.asarray(psi0, dtype=np.float64).reshape(self.d)
@@ -228,16 +225,6 @@ class KoopmanModel:
                 mlp.biases[k] = np.array(params[f"{prefix}.b{k}"], dtype=np.float64)
         self.K = np.array(params["K"], dtype=np.float64)
         self.S = np.array(params["S"], dtype=np.float64)
-
-    def copy(self) -> "KoopmanModel":
-        enc = MlpParams([w.copy() for w in self.encoder.weights],
-                        [b.copy() for b in self.encoder.biases],
-                        self.encoder.activation)
-        dec = MlpParams([w.copy() for w in self.decoder.weights],
-                        [b.copy() for b in self.decoder.biases],
-                        self.decoder.activation)
-        return KoopmanModel(encoder=enc, decoder=dec,
-                            K=self.K.copy(), S=self.S.copy())
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,8 @@ def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
     ``margin > 0`` shrinks every row radius to 1 - tau - margin, trading the
     marginal certificate for a strict one. Rows are tested with the
     certifier's own ``barrier_values``, so the fresh C-ordered result
-    certifies at ``margin_tol=0``.
+    certifies at ``margin_tol=0``. A row of either matrix whose absolute sum
+    overflows has no finite barrier and raises ``NumericError``.
 
     In symmetric mode every row below its target goes through one call of
     the block L1 kernel, with radius 1 - target per row; the result is bit
@@ -167,9 +168,15 @@ def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
     if not 0.0 <= margin < 1.0:
         raise ContractError(f"margin must lie in [0, 1), got {margin}")
 
-    target = barrier_threshold(barrier_values(K_prev).rows(mode), alpha) + margin
     out = np.array(K_tilde, order="C")
-    rows = np.flatnonzero(barrier_values(out).rows(mode) < target)
+    h_prev = barrier_values(K_prev).rows(mode)
+    h_tilde = barrier_values(out).rows(mode)
+    for name, h in (("K_prev", h_prev), ("K_tilde", h_tilde)):
+        if not np.all(np.isfinite(h)):
+            raise NumericError(f"{name} rows {np.flatnonzero(~np.isfinite(h)).tolist()}: "
+                               "non-finite row barrier (row absolute sum overflows)")
+    target = barrier_threshold(h_prev, alpha) + margin
+    rows = np.flatnonzero(h_tilde < target)
     if mode == "symmetric":
         out[rows] = _l1_project(out[rows], 1.0 - target[rows])
     else:

@@ -64,10 +64,12 @@ class BarrierReport:
 
 
 def barrier_values(K) -> BarrierReport:
-    """Evaluate both barrier branches for every row of K."""
+    """Evaluate both barrier branches for every row of K (-inf where a row's
+    absolute sum overflows)."""
     K = _check_square(K)
     diag = np.diag(K)
-    offdiag = np.sum(np.abs(K), axis=1) - np.abs(diag)
+    with np.errstate(over="ignore"):
+        offdiag = np.sum(np.abs(K), axis=1) - np.abs(diag)
     return BarrierReport(h_plus=1.0 + diag - offdiag, h_minus=1.0 - diag - offdiag)
 
 

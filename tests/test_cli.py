@@ -205,6 +205,14 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over", [{"epochs": 1}, {"early_stop": "true"}])
+    def test_overflowing_validation_score_exits_3(self, tmp_path, capsys, over):
+        # the last (or, with early stopping, the first) step leaves parameters
+        # whose predictions overflow the validation score's squared error
+        cfg = write_config(tmp_path, lr="1e200", **over)
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [("lift_dim", 0), ("hidden", "6, 0")])
     def test_empty_layer_exits_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, **{key: value})
@@ -262,6 +270,12 @@ class TestVerifyCommand:
         assert main(["verify", str(path)]) == 2
         assert "k.csv:2" in capsys.readouterr().err
 
+    def test_overflowing_row_sum_refused_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "k.csv"
+        path.write_text("1e308,1e308\n0,0.5\n")
+        assert main(["verify", str(path)]) == 1
+        assert "REFUSED" in capsys.readouterr().out
+
 
 class TestProjectCommand:
     def test_feasible_matrix_passes_through(self, tmp_path):
@@ -317,6 +331,18 @@ class TestProjectCommand:
         path.write_text(f"{bad},0.0\n0.0,0.5\n")
         assert main(["project", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("overflowing", ["matrix", "reference"])
+    def test_overflowing_row_sum_exits_3(self, tmp_path, capsys, mode, overflowing):
+        paths = {"matrix": tmp_path / "k.csv", "reference": tmp_path / "ref.csv"}
+        write_matrix(paths["matrix"], np.zeros((2, 2)))
+        write_matrix(paths["reference"], np.zeros((2, 2)))
+        paths[overflowing].write_text("1e308,1e308\n0,0.5\n")
+        assert main(["project", str(paths["matrix"]), "--reference",
+                     str(paths["reference"]), "--mode", mode]) == 3
+        assert "non-finite row barrier" in capsys.readouterr().err
+        assert not (tmp_path / "k.projected.csv").exists()
 
 
 class TestEdmdCommand:

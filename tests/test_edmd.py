@@ -54,11 +54,6 @@ class TestLiftDataset:
         pair = lift_dataset([t1, t2], "identity")
         assert pair.n_pairs == 2 + 3
 
-    def test_callable_dictionary(self):
-        traj = np.array([[1.0], [2.0], [4.0]])
-        pair = lift_dataset([traj], lambda X: np.vstack([X, X ** 2]))
-        np.testing.assert_array_equal(pair.Psi, [[1.0, 2.0], [1.0, 4.0]])
-
     def test_short_trajectory_rejected(self):
         with pytest.raises(DataError):
             lift_dataset([np.zeros((1, 3))], "identity")

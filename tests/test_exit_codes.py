@@ -53,6 +53,7 @@ def write(path, content):
 @SETTINGS
 @given(text=csv_texts)
 @example(text=b"\xff\xfe1,0\n0,1\n")
+@example(text="1e308,1e308\n0,0.5")
 def test_verify_exit_codes(text):
     assert run(lambda tmp: ["verify", str(write(tmp / "K.csv", text))]) in {0, 1, 2, 3}
 
@@ -60,6 +61,8 @@ def test_verify_exit_codes(text):
 @SETTINGS
 @given(text=csv_texts, reference=st.one_of(st.none(), csv_texts))
 @example(text="9007199254740996.0", reference=None)
+@example(text="1e308,1e308\n0,0.5", reference=None)
+@example(text="0,0\n0,0", reference="1e308,1e308\n0,0.5")
 def test_project_exit_codes(text, reference):
     def argv(tmp):
         args = ["project", str(write(tmp / "K.csv", text))]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from koopstab.errors import DataError, DegenerateDataError, DimensionError
+from koopstab.errors import DataError, DegenerateDataError, DimensionError, NumericError
 from koopstab.metrics import MetricsReport, build_report, nmse, norm_std
 
 
@@ -59,6 +59,17 @@ class TestNmse:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             nmse(np.zeros((4, 2)), np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
+    def test_non_finite_error_is_a_numeric_failure(self, bad):
+        rng = np.random.default_rng(86)
+        xs = [sample_truth(rng) for _ in range(2)]
+        ps = [x.copy() for x in xs]
+        ps[1][3, 0] = bad
+        with pytest.raises(NumericError, match="trajectory 1: non-finite"):
+            nmse(ps, xs)
+        with pytest.raises(NumericError, match="trajectory 1: non-finite"):
+            build_report(ps, xs, spectral_radius=0.5, barrier_margin=0.1)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koopstab import projection
-from koopstab.errors import ContractError, DimensionError
+from koopstab.errors import ContractError, DimensionError, NumericError
 from koopstab.projection import barrier_threshold, displacement, pgd_project, project_row
 from koopstab.stability import barrier_values, certify_stable
 
@@ -301,6 +301,14 @@ class TestPgdProject:
         mats[which][1, 2] = bad
         with pytest.raises(ContractError, match="finite"):
             pgd_project(mats["K_tilde"], mats["K_prev"], alpha=1.0)
+
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("which", ["K_tilde", "K_prev"])
+    def test_overflowing_row_sum_is_a_numeric_failure(self, mode, which):
+        mats = {"K_tilde": np.eye(3), "K_prev": np.eye(3)}
+        mats[which][1] = [1e308, -1e308, 1e308]
+        with pytest.raises(NumericError, match=rf"{which} rows \[1\]: non-finite row barrier"):
+            pgd_project(mats["K_tilde"], mats["K_prev"], alpha=1.0, mode=mode)
 
 
 class TestBlockKernel:

@@ -67,6 +67,15 @@ def test_barrier_values_hand_row():
     assert rep.h[0] == pytest.approx(0.2)
 
 
+def test_overflowing_row_sum_reads_minus_inf():
+    # finite entries whose absolute sum overflows: no RuntimeWarning (the
+    # suite makes one an error), and both branches refuse the row
+    rep = barrier_values(np.array([[1e308, 1e308], [0.0, 0.5]]))
+    np.testing.assert_array_equal(rep.h_plus, [-np.inf, 1.5])
+    np.testing.assert_array_equal(rep.h_minus, [-np.inf, 0.5])
+    assert not certify_stable(np.array([[1e308, -1e308], [0.0, 0.5]])).certified
+
+
 def test_barrier_values_requires_square():
     with pytest.raises(DimensionError):
         barrier_values(np.ones((2, 3)))
