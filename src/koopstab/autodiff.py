@@ -7,10 +7,18 @@ reverse sweep. Gradients accumulate (sum) across fan-out; a fresh tape is
 used per training step, so there is nothing to reset.
 
 Gradients are materialised lazily: a value holds no gradient array until
-the sweep reaches it. The sweep releases each node once its adjoint is
-applied, so after :meth:`Tape.backward` the tape keeps no activations or
-closures, and reference counting frees a step's intermediates as soon as
-the caller drops them, without waiting for the cyclic garbage collector.
+the sweep reaches it. A value's first contribution is borrowed, because an
+adjoint may hand one array to two parents; the second is summed into a new
+array that the value then owns, and later ones add into it in place. The
+sweep releases each node once its adjoint is applied, so after
+:meth:`Tape.backward` the tape keeps no activations or closures, and
+reference counting frees a step's intermediates as soon as the caller drops
+them, without waiting for the cyclic garbage collector.
+
+:func:`checked_inverse` hands its last result to the next request for the
+same bytes. Training scores validation with the inverse of the updated S,
+and the next step's :func:`matinv` takes that inverse instead of inverting
+the same matrix again, so a step inverts S once.
 
 A whole dense layer, ``act(w @ x + b)``, records as one operation,
 :func:`dense`. Its forward allocates one array, the product, and adds the
@@ -60,11 +68,12 @@ class DiffValue:
     read-only.
     """
 
-    __slots__ = ("value", "_grad", "_tape", "__weakref__")
+    __slots__ = ("value", "_grad", "_owns_grad", "_tape", "__weakref__")
 
     def __init__(self, value: np.ndarray, tape: "Tape"):
         self.value = value
         self._grad = None
+        self._owns_grad = False  # True once _grad is a sum the sweep allocated
         self._tape = tape
 
     @property
@@ -131,11 +140,18 @@ class Tape:
         while nodes:
             node = nodes.pop()
             g = node.out._grad
-            if g is None or not g.any():
+            # a non-zero first entry settles it without scanning the array
+            if g is None or not ((g.size and g.item(0)) or g.any()):
                 continue
             for parent, pg in zip(node.parents, node.backward_fn(g)):
-                # out of place: adjoints may hand the same array to two parents
-                parent._grad = pg if parent._grad is None else parent._grad + pg
+                if parent._grad is None:
+                    # borrowed: adjoints may hand the same array to two parents
+                    parent._grad = pg
+                elif parent._owns_grad:
+                    parent._grad += pg
+                else:
+                    parent._grad = parent._grad + pg
+                    parent._owns_grad = True
 
     def __len__(self):
         """Number of operations recorded, including those already released."""
@@ -165,15 +181,32 @@ def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
     return tape._record(out, (a, b), backward_fn)
 
 
+# the last inverse checked_inverse computed: (copy of its input, inverse)
+_handoff: tuple[np.ndarray, np.ndarray] | None = None
+
+
 def checked_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a plain square array via LAPACK LU, with a condition guard.
+    """Read-only inverse of a plain square array via LAPACK LU, with a condition guard.
 
     Raises :class:`SingularMatrixError` (carrying the infinity-norm
     condition estimate) when ``a`` is singular, holds NaN or Inf, or its
     estimated condition number exceeds ``COND_CAP``.
+
+    The last inverse is kept for one more request. A float64 input with
+    the same shape and the same bytes as the last one inverted (so -0.0
+    differs from 0.0, and a matrix changed in place differs from itself)
+    gets that inverse back without a second factorisation, and the kept
+    copy is dropped. Any other input is inverted, and its inverse is kept
+    in place of the last one unless the guard raises.
     """
+    global _handoff
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix is {a.shape}, not square")
+    kept, _handoff = _handoff, None
+    if (kept is not None and a.dtype == np.float64 and kept[0].shape == a.shape
+            and np.array_equal(kept[0].view(np.uint64), a.view(np.uint64))):
+        return kept[1]
+    del kept  # free the kept pair before the new inverse is allocated
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
@@ -182,6 +215,9 @@ def checked_inverse(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(cond) or cond > COND_CAP:
         raise SingularMatrixError(
             f"condition estimate {cond:.3e} exceeds cap {COND_CAP:.3e}", cond)
+    inv.flags.writeable = False
+    if a.dtype == np.float64:
+        _handoff = (a.copy(), inv)
     return inv
 
 
@@ -216,7 +252,10 @@ def _activation_adjoint(g: np.ndarray, out: np.ndarray, fn: str) -> np.ndarray:
     taken from the output equals the one taken from the input.
     """
     if fn == "tanh":
-        return g * (1.0 - out * out)
+        slope = np.multiply(out, out)
+        np.subtract(1.0, slope, out=slope)
+        slope *= g
+        return slope
     if fn == "relu":
         return g * (out > 0.0)
     return g
@@ -312,10 +351,18 @@ def gather_cols(a: DiffValue, indices) -> DiffValue:
     if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[1]):
         raise DimensionError(
             f"gather_cols: index out of range for {a.value.shape[1]} columns")
-    out = DiffValue(a.value[:, idx].copy(), tape)
+    out = DiffValue(np.take(a.value, idx, axis=1), tape)
     rows, cols = a.value.shape
+    distinct = bool(np.all(idx[1:] > idx[:-1]))
 
     def backward_fn(g):
+        if distinct:
+            # each column receives one entry; adding 0.0 turns -0.0 into
+            # +0.0 exactly as bincount's 0.0 + g does
+            buf = np.zeros((rows, cols))
+            buf[:, idx] = g
+            buf += 0.0
+            return (buf,)
         # one bincount over all rows; each entry sums its columns in index order
         flat = (idx + cols * np.arange(rows)[:, None]).ravel()
         buf = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)

@@ -68,8 +68,11 @@ def nmse_single(predicted: np.ndarray, truth: np.ndarray, k: int = 0) -> float:
 
 
 def norm_std_single(predicted: np.ndarray, truth: np.ndarray, k: int = 0) -> float:
-    err_norms = np.linalg.norm(predicted - truth, axis=1)
-    return float(np.std(err_norms)) / np.sqrt(_truth_variance(truth, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(np.std(np.linalg.norm(predicted - truth, axis=1)))
+    if not np.isfinite(spread):
+        raise NumericError(f"trajectory {k}: non-finite prediction error")
+    return spread / np.sqrt(_truth_variance(truth, k))
 
 
 def nmse(predicted, truth) -> float:

@@ -174,8 +174,7 @@ class KoopmanModel:
         z = np.asarray(psi0, dtype=np.float64).reshape(self.d)
         out = np.empty((horizon, self.d))
         for k in range(horizon):
-            z = Keff @ z
-            out[k] = z
+            z = np.matmul(Keff, z, out=out[k])
         return out
 
     def predict_states(self, x0, n_steps):

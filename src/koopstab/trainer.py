@@ -154,7 +154,10 @@ class AdamState:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update; returns new parameter arrays."""
+    """One bias-corrected Adam update; returns new parameter arrays.
+
+    The moments in ``state`` are updated in place.
+    """
     if set(params) != set(grads):
         raise ContractError("parameter and gradient names differ")
     state.step += 1
@@ -172,9 +175,22 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient in parameter {name!r} "
                                    f"at step {t}")
-            m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-            v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-            out[name] = p - config.lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+            # p - lr * (m / bias1) / (sqrt(v / bias2) + eps), with the same
+            # float operations in the same order, in two new arrays
+            m, v = state.m[name], state.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            gg = np.multiply(g, g)
+            gg *= 1.0 - b2
+            v *= b2
+            v += gg
+            step = np.divide(m, bias1)
+            step *= config.lr
+            den = np.divide(v, bias2, out=gg)
+            np.sqrt(den, out=den)
+            den += config.eps
+            step /= den
+            out[name] = np.subtract(p, step, out=step)
             if not (np.all(np.isfinite(out[name])) and np.all(np.isfinite(v))):
                 raise NumericError(f"Adam step {t} left parameter {name!r} or its "
                                    f"second moment non-finite")

@@ -9,6 +9,11 @@ reference implementations the package's fast paths are checked against.
 * ``pgd_project_rowwise`` is ``pgd_project`` with its symmetric rows
   projected one at a time by the one-row sort-and-threshold
   ``l1_project_row``; the block kernel must match it bit for bit.
+* ``gather_cols_adjoint_bincount``, ``backward_out_of_place``,
+  ``tanh_adjoint_reference``, ``rollout_reference`` and
+  ``adam_step_reference`` are the plain forms of the tape's and the
+  optimizer's fast paths (copy-free scatters, in-place sums and updates);
+  the fast paths must match them bit for bit.
 * ``Polyhedron``, ``unit_hypercube``, ``scale_set`` and
   ``inward_pointing_check`` decide forward invariance of a vertex-listed
   polytope, which the hypercube certificate must agree with.
@@ -238,6 +243,68 @@ def pgd_project_rowwise(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
             return out
         out[short] *= 1.0 - 1e-12
     raise NumericError("row-by-row projection failed to reach its targets")
+
+
+# ------------------------------------- plain tape and optimizer arithmetic
+
+def same_bits(a, b) -> bool:
+    """True when two float64 arrays have one shape and identical bytes (-0.0 != 0.0)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def gather_cols_adjoint_bincount(g: np.ndarray, idx, rows: int, cols: int) -> np.ndarray:
+    """``gather_cols``' adjoint as one bincount over all rows, for any indices."""
+    idx = np.asarray(idx, dtype=np.intp)
+    flat = (idx + cols * np.arange(rows)[:, None]).ravel()
+    buf = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)
+    return buf.reshape(rows, cols)
+
+
+def backward_out_of_place(tape: ad.Tape, loss: DiffValue) -> None:
+    """``Tape.backward`` that forms every sum as a new array and scans every gradient."""
+    nodes, tape._nodes = tape._nodes, []
+    tape._released = len(nodes)
+    tape._backward_done = True
+    loss._grad = np.ones((1, 1))
+    while nodes:
+        node = nodes.pop()
+        g = node.out._grad
+        if g is None or not g.any():
+            continue
+        for parent, pg in zip(node.parents, node.backward_fn(g)):
+            parent._grad = pg if parent._grad is None else parent._grad + pg
+
+
+def tanh_adjoint_reference(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return g * (1.0 - out * out)
+
+
+def rollout_reference(Keff: np.ndarray, z0: np.ndarray, horizon: int) -> np.ndarray:
+    """[Keff z0, ..., Keff^horizon z0] as rows, one new vector per step."""
+    z = np.asarray(z0, dtype=np.float64)
+    out = np.empty((horizon, z.size))
+    for k in range(horizon):
+        z = Keff @ z
+        out[k] = z
+    return out
+
+
+def adam_step_reference(params, grads, state, config):
+    """``adam_step``'s update as whole-array expressions with new moments."""
+    state.step += 1
+    t = state.step
+    b1, b2 = config.beta1, config.beta2
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
+        out[name] = p - config.lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+    return out
 
 
 # ------------------------------------- polyhedral invariance

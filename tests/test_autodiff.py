@@ -7,7 +7,15 @@ import pytest
 from koopstab import autodiff as ad
 from koopstab.errors import ContractError, DimensionError, SingularMatrixError
 
-from helpers import fd_gradient, matrix_with_condition, rel_err
+from helpers import (
+    backward_out_of_place,
+    fd_gradient,
+    gather_cols_adjoint_bincount,
+    matrix_with_condition,
+    rel_err,
+    same_bits,
+    tanh_adjoint_reference,
+)
 
 
 def scalar_sum(tape, dv):
@@ -328,6 +336,159 @@ def test_fan_out_sums_gradients_without_aliasing():
     tape.backward(ad.sum_sq_norm(q))
     g = 2.0 * q.value
     np.testing.assert_array_equal(x.grad, g + (g + 3.0 * g))
+
+
+# ------------------------------- fast paths against the plain arithmetic
+
+@pytest.mark.parametrize("idx", [
+    [0, 2, 3, 6],        # strictly increasing: scattered into zeros
+    [1, 1, 4, 0, 4, 4],  # repeated: summed by bincount
+    [5, 3, 0],           # distinct but decreasing: summed by bincount
+])
+def test_gather_cols_matches_the_bincount_adjoint_bit_for_bit(idx):
+    rng = np.random.default_rng(40)
+    a0 = rng.standard_normal((3, 7))
+    g = rng.standard_normal((3, len(idx)))
+    g[:, ::2] = -0.0  # bincount's 0.0 + g turns these into +0.0
+    tape = ad.Tape()
+    out = ad.gather_cols(tape.leaf(a0), idx)
+    assert same_bits(out.value, a0[:, idx])
+    (got,) = tape._nodes[-1].backward_fn(g)
+    assert same_bits(got, gather_cols_adjoint_bincount(g, idx, 3, 7))
+
+
+def _fan_in(tape, x0, w0, y0):
+    """Leaves x, w, y and a loss in which x takes three contributions.
+
+    ``add(x, y)`` is recorded last among x's consumers, so x's first
+    contribution is the very array the add also hands to y. A fourth term,
+    through ``scale(x, 0.0)``, has an all-zero gradient that the sweep skips.
+    """
+    x, w, y = tape.leaf(x0), tape.leaf(w0), tape.leaf(y0)
+    terms = [ad.sum_sq_norm(ad.scale(x, 0.0)),
+             ad.sum_sq_norm(ad.scale(x, -1.5)),
+             ad.sum_sq_norm(ad.matmul(w, x)),
+             ad.sum_sq_norm(ad.matmul(w, ad.add(x, y)))]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    return (x, w, y), loss
+
+
+def test_in_place_sweep_matches_the_out_of_place_sweep_bit_for_bit():
+    rng = np.random.default_rng(41)
+    x0 = rng.standard_normal((4, 3))
+    x0[0, 0] = 0.0  # the first entry of several gradients is exactly zero
+    w0 = rng.standard_normal((5, 4))
+    y0 = rng.standard_normal((4, 3))
+    fast_tape, slow_tape = ad.Tape(), ad.Tape()
+    fast, fast_loss = _fan_in(fast_tape, x0, w0, y0)
+    slow, slow_loss = _fan_in(slow_tape, x0, w0, y0)
+    fast_tape.backward(fast_loss)
+    backward_out_of_place(slow_tape, slow_loss)
+    for got, want in zip(fast, slow):
+        assert same_bits(got.grad, want.grad)
+    # y's gradient is the array x borrowed first; summing into x left it alone
+    x, w, y = fast
+    residual = w.value @ (x0 + y0)
+    assert same_bits(y.grad, w.value.T @ (2.0 * residual))
+
+
+def test_zero_gradient_skip_reads_past_a_zero_first_entry():
+    x0 = np.array([[0.0, 2.0], [-3.0, 0.5]])
+    tape = ad.Tape()
+    x = tape.leaf(x0)
+    tape.backward(ad.sum_sq_norm(ad.scale(x, 1.0)))
+    np.testing.assert_array_equal(x.grad, 2.0 * x0)
+
+
+def test_tanh_adjoint_matches_the_plain_expression_bit_for_bit():
+    rng = np.random.default_rng(42)
+    out = np.tanh(rng.standard_normal((6, 9)) * 3.0)
+    g = rng.standard_normal((6, 9))
+    g[0] = -0.0
+    assert same_bits(ad._activation_adjoint(g, out, "tanh"),
+                     tanh_adjoint_reference(g, out))
+
+
+# ------------------------------------------------------ inverse handoff
+
+@pytest.fixture
+def lapack_inv(monkeypatch):
+    """Count np.linalg.inv calls, starting with no kept inverse."""
+    original = np.linalg.inv
+    calls = []
+
+    def counting(a):
+        calls.append(1)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    monkeypatch.setattr(ad, "_handoff", None)
+    return calls, original
+
+
+def _well_conditioned(seed, d=5):
+    return np.eye(d) + 0.1 * np.random.default_rng(seed).standard_normal((d, d))
+
+
+def test_checked_inverse_hands_its_result_to_the_same_bytes_once(lapack_inv):
+    calls, original = lapack_inv
+    a = _well_conditioned(43)
+    first = ad.checked_inverse(a)
+    assert same_bits(first, original(a))
+    assert ad.checked_inverse(a.copy()) is first  # a hit: no new inversion
+    assert len(calls) == 1
+    again = ad.checked_inverse(a)  # the hit dropped the kept inverse
+    assert len(calls) == 2 and again is not first and same_bits(again, first)
+
+
+def test_checked_inverse_results_are_read_only(lapack_inv):
+    a = _well_conditioned(44)
+    for inv in (ad.checked_inverse(a), ad.checked_inverse(a)):  # miss, then hit
+        assert not inv.flags.writeable
+        with pytest.raises(ValueError):
+            inv[0, 0] = 1.0
+
+
+def test_checked_inverse_inverts_a_matrix_changed_in_place(lapack_inv):
+    calls, original = lapack_inv
+    a = _well_conditioned(45)
+    ad.checked_inverse(a)
+    a[2, 3] += 0.5
+    got = ad.checked_inverse(a)
+    assert len(calls) == 2
+    assert same_bits(got, original(a))
+
+
+def test_checked_inverse_tells_negative_zero_from_zero(lapack_inv):
+    calls, _ = lapack_inv
+    a = _well_conditioned(46)
+    a[1, 4] = 0.0
+    b = a.copy()
+    b[1, 4] = -0.0
+    assert np.array_equal(a, b)
+    ad.checked_inverse(a)
+    ad.checked_inverse(b)
+    assert len(calls) == 2
+
+
+def test_checked_inverse_keeps_nothing_when_the_guard_raises(lapack_inv):
+    calls, _ = lapack_inv
+    a = matrix_with_condition(np.random.default_rng(47), 4, 1e10)
+    for expected in (1, 2):
+        with pytest.raises(SingularMatrixError):
+            ad.checked_inverse(a)
+        assert len(calls) == expected and ad._handoff is None
+
+
+def test_matinv_takes_the_inverse_validation_computed(lapack_inv):
+    calls, _ = lapack_inv
+    s = _well_conditioned(48)
+    kept = ad.checked_inverse(s)
+    tape = ad.Tape()
+    assert ad.matinv(tape.leaf(s)).value is kept
+    assert len(calls) == 1 and ad._handoff is None
 
 
 # ----------------------------------------------------------------- errors

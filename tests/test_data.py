@@ -5,7 +5,6 @@ import pytest
 
 from koopstab.data import (
     Dataset,
-    Preprocessing,
     Trajectory,
     assign_split,
     center_to_equilibrium,

@@ -105,6 +105,16 @@ class TestNormStd:
             assert norm_std(p, x) >= 0.0
             assert nmse(p, x) >= 0.0
 
+    @pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
+    def test_non_finite_error_spread_is_a_numeric_failure(self, bad):
+        # norm_std scores on its own, without nmse's check running first
+        rng = np.random.default_rng(87)
+        xs = [sample_truth(rng) for _ in range(2)]
+        ps = [x.copy() for x in xs]
+        ps[1][3, 0] = bad
+        with pytest.raises(NumericError, match="trajectory 1: non-finite"):
+            norm_std(ps, xs)
+
 
 class TestReport:
     def _report(self, rng):

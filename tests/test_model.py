@@ -29,6 +29,8 @@ from helpers import (
     loss_rec,
     matrix_with_condition,
     rel_err,
+    rollout_reference,
+    same_bits,
     total_loss,
 )
 
@@ -190,6 +192,13 @@ class TestRollout:
         seq = m.predict_states(rng.uniform(-1.0, 1.0, size=4), 10_000)
         sup = np.abs(seq).max(axis=1)
         assert np.all(np.diff(sup) <= 1e-12)
+
+    def test_rollout_matches_one_new_vector_per_step_bit_for_bit(self):
+        rng = np.random.default_rng(53)
+        m = linear_identity_model(rng.normal(size=(6, 6)) / 3.0)
+        Keff = m.effective_matrix()
+        z0 = rng.normal(size=6)
+        assert same_bits(m._rollout(Keff, z0, 12), rollout_reference(Keff, z0, 12))
 
     def test_prediction_matches_true_linear_system(self):
         rng = np.random.default_rng(52)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from koopstab import trainer
+from koopstab import autodiff, trainer
 from koopstab.data import Trajectory, synth_stable_spiral
 from koopstab.errors import ContractError, DataError, DegenerateDataError, NumericError
 from koopstab.model import KoopmanModel, LossWeights, MlpParams, load_checkpoint
@@ -17,6 +17,8 @@ from koopstab.trainer import (
     evaluate,
     train,
 )
+
+from helpers import adam_step_reference, same_bits
 
 
 def small_config(**over):
@@ -145,6 +147,31 @@ class TestAdamStep:
         with pytest.raises(NumericError, match="'w'"):
             adam_step(params, grads, AdamState.init(params), TrainConfig(lr=1e308))
 
+    def test_matches_the_plain_update_bit_for_bit(self):
+        rng = np.random.default_rng(60)
+        shapes = {"w": (4, 3), "b": (4, 1)}
+        # parameters far below the step keep its rounding in their bits
+        params = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-12, 1, s)
+                  for k, s in shapes.items()}
+        fast_params, slow_params = dict(params), dict(params)
+        fast, slow = AdamState.init(params), AdamState.init(params)
+        config = TrainConfig(lr=3e-2)
+        for _ in range(6):
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-9, 9, s)
+                     for k, s in shapes.items()}
+            grads["w"][0] = -0.0
+            passed = fast_params
+            before = {k: p.copy() for k, p in passed.items()}
+            fast_params = adam_step(passed, grads, fast, config)
+            slow_params = adam_step_reference(slow_params, grads, slow, config)
+            assert fast.step == slow.step
+            for k in shapes:
+                assert same_bits(fast_params[k], slow_params[k])
+                assert same_bits(fast.m[k], slow.m[k])
+                assert same_bits(fast.v[k], slow.v[k])
+                # the parameters passed in are not written
+                assert same_bits(passed[k], before[k])
+
     def test_name_mismatch_rejected(self):
         params = {"w": np.zeros(2)}
         with pytest.raises(ContractError):
@@ -264,6 +291,17 @@ class TestTrainLoop:
         dataset = synth_stable_spiral(n_traj=5, length=20, seed=20, n_val=3)
         train(small_model(), dataset, small_config(epochs=4, early_stop=True))
         assert len(calls) == 4  # one pass over the three trajectories per step
+
+    def test_early_stop_run_inverts_s_once_per_step_plus_one(self, monkeypatch):
+        # validation inverts the updated S, and the next step takes that inverse
+        calls = []
+        original = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or original(a))
+        monkeypatch.setattr(autodiff, "_handoff", None)
+        history = train(small_model(), small_dataset(),
+                        small_config(epochs=4, batch_size=1, early_stop=True))
+        assert len(history) == 8
+        assert len(calls) == len(history) + 1
 
     def test_zero_variance_validation_trajectory_raises(self):
         dataset = small_dataset()
