@@ -60,7 +60,8 @@ class RunConfig:
 
     ``data`` names a trajectory CSV, a directory of CSVs, a ``path,split``
     manifest, or a built-in generator (``synth:spiral``,
-    ``synth:handwriting``). ``dt = 0`` disables resampling; ``center`` and
+    ``synth:handwriting``). ``dt = 0`` disables resampling and
+    ``checkpoint_every = 0`` periodic checkpoints; ``center`` and
     ``normalize`` control the equilibrium-shift / max-abs scaling steps
     recorded in the checkpoint's preprocessing block. ``train`` holds the
     optimizer, loss and projection settings and the seed; a config file sets
@@ -87,8 +88,10 @@ class RunConfig:
             raise ConfigError(f"lift_dim must be >= 1, got {self.lift_dim}")
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
-        if not np.isfinite(self.dt):
-            raise ConfigError(f"dt must be finite, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt >= 0.0):
+            raise ConfigError(f"dt must be finite and >= 0, got {self.dt}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.eval_split not in ("train", "val"):
             raise ConfigError(
                 f"eval_split must be 'train' or 'val', got {self.eval_split!r}")

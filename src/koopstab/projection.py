@@ -12,29 +12,28 @@ projection splits into d independent d-variable problems. Two modes exist:
 
   so the projection is the classic Euclidean projection onto an L1 ball of
   radius 1 - tau (sort and soft-threshold, exact in O(d log d); Duchi et
-  al., ICML 2008; Condat, Math. Prog. 2016). One kernel solves a whole
-  block of rows at once, each row against its own radius, with numpy
-  operations along the row axis instead of a Python loop over rows.
+  al., ICML 2008; Condat, Math. Prog. 2016).
 
 * asymmetric: the branch containing -x_i is dropped (useful for smoothly
-  sampled data), leaving {x : sum_{j != i} |x_j| - x_i <= 1 - tau}. A
-  single KKT multiplier lam >= 0 solves it: x_i = y_i + lam and
-  x_j = soft_threshold(y_j, lam); the constraint residual is piecewise
-  linear and strictly decreasing in lam, so the root is found exactly by
-  walking its breakpoints.
+  sampled data), leaving {x : sum_{j != i} |x_j| - x_i <= 1 - tau}. Its
+  KKT multiplier lam >= 0 gives x_i = y_i + lam and x_j soft-thresholded
+  by lam: the L1-ball projection of the off-diagonal entries with radius
+  R = 1 - tau + y_i, with the diagonal as one more, always active,
+  coordinate. If the k largest |y_j| (sum cum_k) stay nonzero,
+  lam = (cum_k - R) / (k + 1); k = 0 solves rows with R <= -max |y_j|.
 
 The relaxed threshold tau = min(0, alpha * h_i(K_prev)) never exceeds 0:
 rows that already satisfy the stability condition must keep satisfying it,
 while infeasible rows are only required not to regress (and, for
 alpha < 1, to approach the feasible set geometrically).
 
-``project_row`` is the one-row entry to both row projections; in symmetric
-mode it is a one-row view of the same block kernel. ``pgd_project`` measures
-rows only with the certifier's own ``barrier_values``; in symmetric mode it
-hands every row that misses its threshold to the kernel in one call, and in
-asymmetric mode it calls ``project_row`` row by row. The test suite checks
+One kernel solves a block of rows of either mode at once, each against its
+own radius. ``pgd_project`` measures rows only with the certifier's own
+``barrier_values`` and hands every row that misses its threshold to it in
+one call; ``project_row`` is a one-row view of it. The test suite checks
 the rows against a brute-force support-pattern enumeration of the same row
-problems, and the block kernel bit for bit against a row-by-row reference.
+problems, symmetric blocks bit for bit against a row-by-row reference, and
+asymmetric rows against a breakpoint-walk reference.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import math
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
-from .stability import barrier_values
+from .stability import MODES, barrier_values
 
 
 def barrier_threshold(h_prev, alpha: float):
@@ -54,68 +53,66 @@ def barrier_threshold(h_prev, alpha: float):
     return np.minimum(0.0, alpha * np.asarray(h_prev, dtype=np.float64))
 
 
-def _l1_project(Y: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of Y onto {x : ||x||_1 <= radius}.
+def _l1_project(Y: np.ndarray, radii: np.ndarray, active: int = 0):
+    """Soft-threshold each row of Y so that ||x||_1 <= radius + active * theta.
 
-    ``Y`` is a C-ordered block of rows and ``radii`` holds one positive
-    radius per row. Each row's result depends only on that row and its
-    radius: a sort and a cumsum along the row, a per-row threshold and up to
-    four per-row rescales. So a row gets the same bits in any block.
+    Returns the block and each row's threshold theta (0 for a row already
+    within). ``active`` counts coordinates outside ``Y`` that are always
+    active and rise by theta: 0 gives the L1-ball projection (radius > 0),
+    1 the asymmetric row problem with the diagonal taken out (any radius).
+    A row's result depends only on that row and its radius (a sort and a
+    cumsum along the row, a per-row threshold and, with ``active = 0``, up
+    to four rescales), so a row gets the same bits in any block.
     """
     mags = np.abs(Y)
     out = Y.copy()
+    theta = np.zeros(len(Y))
     over = np.flatnonzero(~(mags.sum(axis=1) <= radii))
-    if over.size == 0:
-        return out
+    width = Y.shape[1]
+    if over.size == 0 or width == 0:
+        # a row without entries (asymmetric, d = 1) leaves all to the diagonal
+        theta[over] = -radii[over]
+        return out, theta
     mags, radius = mags[over], radii[over]
     u = np.sort(mags, axis=1)[:, ::-1]
     cumulative = np.cumsum(u, axis=1)
-    counts = np.arange(1, Y.shape[1] + 1)
-    hits = u * counts > cumulative - radius[:, None]
-    # index 0 always qualifies in exact arithmetic, but rounding loses it
-    # when the entries dwarf the radius; a row without hits takes rho = 0
-    rho = np.where(hits.any(axis=1), Y.shape[1] - 1 - np.argmax(hits[:, ::-1], axis=1), 0)
-    theta = (np.take_along_axis(cumulative, rho[:, None], axis=1)[:, 0]
-             - radius) / (rho + 1.0)
-    x = np.sign(Y[over]) * np.maximum(mags - theta[:, None], 0.0)
-    # float roundoff can leave a row a few ulp outside; rescale it down
-    for _ in range(4):
+    hits = u * np.arange(1 + active, width + 1 + active) > cumulative - radius[:, None]
+    # k is the last hit. A row without hits takes k = 0 with active = 1, and
+    # k = 1 with active = 0: index 0 always qualifies in exact arithmetic,
+    # but rounding loses it when the entries dwarf the radius
+    k = np.where(hits.any(axis=1), width - np.argmax(hits[:, ::-1], axis=1), 1 - active)
+    top = np.take_along_axis(cumulative, np.maximum(k - 1, 0)[:, None], axis=1)[:, 0]
+    theta[over] = lam = (np.where(k > 0, top, 0.0) - radius) / (k + active)
+    x = np.sign(Y[over]) * np.maximum(mags - lam[:, None], 0.0)
+    # float roundoff can leave a ball row a few ulp outside; rescale it down
+    for _ in range(0 if active else 4):
         s = np.abs(x).sum(axis=1)
         still = ~(s <= radius)
         if not still.any():
             break
         x[still] *= (radius[still] / s[still])[:, None]
     out[over] = x
+    return out, theta
+
+
+def _project_rows(Y: np.ndarray, diag: np.ndarray, radii: np.ndarray, mode: str):
+    """Project each row ``Y[r]``, whose diagonal entry is ``Y[r, diag[r]]``,
+    onto its barrier set of radius ``radii[r] = 1 - tau`` in one kernel call.
+    An asymmetric row goes without its diagonal, which rises by the kernel's
+    threshold."""
+    if mode == "symmetric":
+        return _l1_project(Y, radii)[0]
+    at = (np.arange(len(Y)), diag)
+    off_mask = np.ones(Y.shape, dtype=bool)
+    off_mask[at] = False
+    y_ii = Y[at]
+    off, lam = _l1_project(Y[off_mask].reshape(len(Y), -1), radii + y_ii, active=1)
+    x_ii = y_ii + lam
+    # ulp-level guard: raising x_ii reduces the residual one for one
+    x_ii += np.maximum(np.abs(off).sum(axis=1) - x_ii - radii, 0.0)
+    out = np.empty_like(Y)
+    out[off_mask], out[at] = off.ravel(), x_ii
     return out
-
-
-def _asym_project(y: np.ndarray, i: int, radius: float) -> np.ndarray:
-    """Projection onto {x : sum_{j != i} |x_j| - x_i <= radius}."""
-    others = np.abs(np.delete(y, i))
-    if others.sum() - y[i] <= radius:
-        return y.copy()
-    # residual(lam) = sum_j max(|y_j| - lam, 0) - (y_i + lam) - radius,
-    # strictly decreasing; solve the linear piece containing the root.
-    u = np.sort(others)[::-1]
-    cumulative = np.concatenate([[0.0], np.cumsum(u)])
-    lam = None
-    n = u.size
-    for m in range(n + 1):
-        candidate = (cumulative[m] - y[i] - radius) / (m + 1.0)
-        lo = u[m] if m < n else 0.0
-        hi = u[m - 1] if m > 0 else np.inf
-        if lo - 1e-12 <= candidate <= hi + 1e-12:
-            lam = max(candidate, 0.0)
-            break
-    if lam is None:
-        raise NumericError("asymmetric projection: no breakpoint segment "
-                           "contains the multiplier (malformed input?)")
-    x = np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
-    x[i] = y[i] + lam
-    gap = (np.abs(np.delete(x, i)).sum() - x[i]) - radius
-    if gap > 0.0:  # ulp-level guard: raising x_i reduces the residual 1:1
-        x[i] += gap
-    return x
 
 
 def project_row(y, i: int, tau: float, mode: str) -> np.ndarray:
@@ -128,15 +125,12 @@ def project_row(y, i: int, tau: float, mode: str) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64).ravel()
     if not 0 <= i < y.size:
         raise DimensionError(f"row index {i} out of range for length {y.size}")
+    if mode not in MODES:
+        raise ContractError(f"unknown projection mode {mode!r}")
     radius = 1.0 - tau
-    if mode == "symmetric":
-        if radius <= 0.0:
-            raise ContractError(
-                f"threshold {tau} leaves an empty interior (1 - tau <= 0)")
-        return _l1_project(y[None, :], np.array([radius]))[0]
-    if mode == "asymmetric":
-        return _asym_project(y, i, radius)
-    raise ContractError(f"unknown projection mode {mode!r}")
+    if mode == "symmetric" and radius <= 0.0:
+        raise ContractError(f"threshold {tau} leaves an empty interior (1 - tau <= 0)")
+    return _project_rows(y[None, :], np.array([i]), np.array([radius]), mode)[0]
 
 
 def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
@@ -151,10 +145,9 @@ def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
     certifies at ``margin_tol=0``. A row of either matrix whose absolute sum
     overflows has no finite barrier and raises ``NumericError``.
 
-    In symmetric mode every row below its target goes through one call of
-    the block L1 kernel, with radius 1 - target per row; the result is bit
-    for bit what projecting the rows one at a time gives. Asymmetric mode
-    projects the rows one at a time.
+    Every row below its target goes through one call of the block kernel,
+    with radius 1 - target per row; in symmetric mode the result is bit for
+    bit what projecting the rows one at a time gives.
     """
     K_tilde = np.asarray(K_tilde, dtype=np.float64)
     K_prev = np.asarray(K_prev, dtype=np.float64)
@@ -177,11 +170,8 @@ def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
                                "non-finite row barrier (row absolute sum overflows)")
     target = barrier_threshold(h_prev, alpha) + margin
     rows = np.flatnonzero(h_tilde < target)
-    if mode == "symmetric":
-        out[rows] = _l1_project(out[rows], 1.0 - target[rows])
-    else:
-        for i in rows:
-            out[i] = project_row(out[i], i, target[i], mode)
+    if rows.size:
+        out[rows] = _project_rows(out[rows], rows, 1.0 - target[rows], mode)
     # scaling a row toward 0 raises h by (1 - h) per unit shrink, so a
     # relative 1e-12 nudge absorbs any ulp-level shortfall left by the
     # projection's own rounding

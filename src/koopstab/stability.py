@@ -101,8 +101,11 @@ def certify_stable(K, margin_tol: float = 0.0) -> Certificate:
 
     A certificate implies ``||K||_inf <= 1 + margin_tol`` and therefore a
     spectral radius of at most ``1 + margin_tol``; a refusal implies
-    nothing (the condition is only sufficient).
+    nothing (the condition is only sufficient). A NaN or infinite
+    ``margin_tol`` raises ``ContractError``.
     """
+    if not np.isfinite(margin_tol):
+        raise ContractError(f"margin tolerance must be finite, got {margin_tol}")
     report = barrier_values(K)
     return Certificate(
         certified=bool(report.margin >= -margin_tol),

@@ -6,9 +6,11 @@ reference implementations the package's fast paths are checked against.
   it over the explicit windows.
 * ``brute_force_row_qp`` solves the row projections by enumerating support
   patterns; ``project_row`` must agree with it.
-* ``pgd_project_rowwise`` is ``pgd_project`` with its symmetric rows
-  projected one at a time by the one-row sort-and-threshold
-  ``l1_project_row``; the block kernel must match it bit for bit.
+* ``pgd_project_rowwise`` is ``pgd_project`` projecting one row at a time:
+  symmetric rows by the one-row sort-and-threshold ``l1_project_row``,
+  which the block kernel must match bit for bit, and asymmetric rows by the
+  breakpoint walk ``_asym_project``, which the kernel must match to
+  rounding.
 * ``gather_cols_adjoint_bincount``, ``backward_out_of_place``,
   ``tanh_adjoint_reference``, ``rollout_reference`` and
   ``adam_step_reference`` are the plain forms of the tape's and the
@@ -30,7 +32,7 @@ from koopstab import autodiff as ad
 from koopstab.autodiff import DiffValue
 from koopstab.errors import ContractError, DataError, DimensionError, NumericError
 from koopstab.model import BoundModel, LossWeights, _check_horizon, _states_matrix
-from koopstab.projection import barrier_threshold, project_row
+from koopstab.projection import barrier_threshold
 from koopstab.stability import _check_square, barrier_values
 
 FEASIBILITY_TOL = 1e-9
@@ -227,6 +229,35 @@ def l1_project_row(y: np.ndarray, radius: float) -> np.ndarray:
     return x
 
 
+def _asym_project(y: np.ndarray, i: int, radius: float) -> np.ndarray:
+    """Projection onto {x : sum_{j != i} |x_j| - x_i <= radius}."""
+    others = np.abs(np.delete(y, i))
+    if others.sum() - y[i] <= radius:
+        return y.copy()
+    # residual(lam) = sum_j max(|y_j| - lam, 0) - (y_i + lam) - radius,
+    # strictly decreasing; solve the linear piece containing the root.
+    u = np.sort(others)[::-1]
+    cumulative = np.concatenate([[0.0], np.cumsum(u)])
+    lam = None
+    n = u.size
+    for m in range(n + 1):
+        candidate = (cumulative[m] - y[i] - radius) / (m + 1.0)
+        lo = u[m] if m < n else 0.0
+        hi = u[m - 1] if m > 0 else np.inf
+        if lo - 1e-12 <= candidate <= hi + 1e-12:
+            lam = max(candidate, 0.0)
+            break
+    if lam is None:
+        raise NumericError("asymmetric projection: no breakpoint segment "
+                           "contains the multiplier (malformed input?)")
+    x = np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
+    x[i] = y[i] + lam
+    gap = (np.abs(np.delete(x, i)).sum() - x[i]) - radius
+    if gap > 0.0:  # ulp-level guard: raising x_i reduces the residual 1:1
+        x[i] += gap
+    return x
+
+
 def pgd_project_rowwise(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
                         margin: float = 0.0) -> np.ndarray:
     """``pgd_project`` on finite square input, projecting one row at a time."""
@@ -236,7 +267,7 @@ def pgd_project_rowwise(K_tilde, K_prev, alpha: float, mode: str = "symmetric",
         if mode == "symmetric":
             out[i] = l1_project_row(out[i], 1.0 - target[i])
         else:
-            out[i] = project_row(out[i], i, target[i], mode)
+            out[i] = _asym_project(out[i], i, 1.0 - target[i])
     for _ in range(8):
         short = barrier_values(out).rows(mode) < target
         if not short.any():

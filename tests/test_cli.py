@@ -170,7 +170,8 @@ class TestTrainCommand:
         ("lr", "nan", "lr"), ("lr", "inf", "lr"), ("eps", "nan", "eps"),
         ("margin", "1.5", "margin"), ("margin", "nan", "margin"),
         ("seed", "-1", "seed"), ("pred_weight", "nan", "pred"),
-        ("lin_weight", "inf", "lin"), ("dt", "nan", "dt"),
+        ("lin_weight", "inf", "lin"), ("dt", "nan", "dt"), ("dt", "-0.1", "dt"),
+        ("checkpoint_every", "-1", "checkpoint_every"),
         ("eval_split", "test", "eval_split")])
     def test_bad_setting_exits_2_naming_it(self, tmp_path, capsys, key, value, named):
         cfg = write_config(tmp_path, **{key: value})
@@ -269,6 +270,14 @@ class TestVerifyCommand:
         path.write_text(f"0.5,0.0\n0.0,{bad}\n")
         assert main(["verify", str(path)]) == 2
         assert "k.csv:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("K", [[[3.0, 0.2], [0.1, 0.3]], [[0.5, 0.0], [0.0, 0.5]]])
+    def test_non_finite_margin_exit_2(self, tmp_path, capsys, tol, K):
+        path = tmp_path / "k.csv"
+        write_matrix(path, np.array(K))
+        assert main(["verify", str(path), f"--margin={tol}"]) == 2
+        assert "margin tolerance must be finite" in capsys.readouterr().err
 
     def test_overflowing_row_sum_refused_exit_1(self, tmp_path, capsys):
         path = tmp_path / "k.csv"

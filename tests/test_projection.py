@@ -8,7 +8,7 @@ from koopstab.errors import ContractError, DimensionError, NumericError
 from koopstab.projection import barrier_threshold, displacement, pgd_project, project_row
 from koopstab.stability import barrier_values, certify_stable
 
-from helpers import brute_force_row_qp, l1_project_row, pgd_project_rowwise
+from helpers import _asym_project, brute_force_row_qp, l1_project_row, pgd_project_rowwise
 
 
 class TestBarrierThreshold:
@@ -365,7 +365,7 @@ class TestBlockKernel:
             found += 1
             rows = K[selected & within]
             assert np.array_equal(
-                projection._l1_project(rows, np.full(len(rows), radius)), rows)
+                projection._l1_project(rows, np.full(len(rows), radius))[0], rows)
             assert np.array_equal(
                 pgd_project(K, np.zeros_like(K), 1.0, margin=margin),
                 pgd_project_rowwise(K, np.zeros_like(K), 1.0, margin=margin))
@@ -377,11 +377,116 @@ class TestBlockKernel:
         Y = np.array([[big, 0.0, 0.0], [0.5, -2.0, 1.0], [-big, big, 3.0],
                       [0.1, 0.1, 0.1]])
         radii = np.array([1.0, 1.0, 0.5, 1.0])
-        out = projection._l1_project(Y, radii)
+        out, _ = projection._l1_project(Y, radii)
         for row, radius, got in zip(Y, radii, out):
             assert np.array_equal(got, l1_project_row(row, radius))
         assert np.all(np.abs(out).sum(axis=1) <= radii)
 
+
+def _agree(fast, slow, y, rel):
+    """Every entry within ``rel`` of the input's scale, max(1, max |y|)."""
+    return np.abs(fast - slow).max(initial=0.0) <= rel * max(1.0, np.abs(y).max(initial=0.0))
+
+
+class TestAsymmetricBlockKernel:
+    """Asymmetric rows through the block kernel agree with the breakpoint walk.
+
+    A row from the kernel is within 1e-14 of the input's scale of the
+    breakpoint reference: the two round the multiplier differently, and an
+    output entry |y_j| - lam can cancel most of its input. ``pgd_project``
+    then scales a row short of its target by 1 - 1e-12 up to 8 times, and
+    the two sides may nudge a row a different number of times, so whole
+    matrices agree within 1e-11 of the input's scale.
+    """
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    @pytest.mark.parametrize("margin", [0.0, 1e-3, 0.3])
+    def test_pgd_project_matches_row_by_row(self, alpha, margin):
+        rng = np.random.default_rng(int(alpha * 1000 + margin * 1e4) + 7)
+        for d in (1, 2, 3, 5, 8, 9, 16, 17, 20, 33, 64, 100, 128, 129, 200, 220):
+            for scale in (0.05, 0.3, 1.5):
+                K_prev = rng.normal(0.0, scale, size=(d, d))
+                K_tilde = K_prev + rng.normal(0.0, 0.3 * scale, size=(d, d))
+                fast = pgd_project(K_tilde, K_prev, alpha, "asymmetric", margin)
+                slow = pgd_project_rowwise(K_tilde, K_prev, alpha, "asymmetric", margin)
+                assert _agree(fast, slow, K_tilde, 1e-11), (d, scale)
+
+    def test_random_sizes_match_row_by_row(self):
+        rng = np.random.default_rng(55)
+        for _ in range(60):
+            d = int(rng.integers(1, 221))
+            alpha = float(rng.choice([1.0, 0.5, 0.1]))
+            margin = float(rng.choice([0.0, 1e-3, 0.3]))
+            K_prev = rng.normal(0.0, rng.choice([0.01, 0.2, 1.0]), size=(d, d))
+            K_tilde = rng.normal(0.0, rng.choice([0.01, 0.2, 1.0]), size=(d, d))
+            fast = pgd_project(K_tilde, K_prev, alpha, "asymmetric", margin)
+            slow = pgd_project_rowwise(K_tilde, K_prev, alpha, "asymmetric", margin)
+            assert _agree(fast, slow, K_tilde, 1e-11), d
+
+    def test_project_row_matches_breakpoint_reference(self):
+        rng = np.random.default_rng(56)
+        for _ in range(3000):
+            d = int(rng.integers(1, 221))
+            i = int(rng.integers(0, d))
+            y = rng.normal(0.0, rng.choice([0.01, 0.3, 3.0, 100.0]), size=d)
+            tau = float(rng.uniform(-1.0, 0.5))
+            assert _agree(project_row(y, i, tau, "asymmetric"),
+                          _asym_project(y, i, 1.0 - tau), y, 1e-14)
+
+    def test_kernel_threshold_balances_each_row(self):
+        # a row over its radius R gets the theta > 0 that solves
+        # sum_j max(|y_j| - theta, 0) = R + theta, also with no entries
+        # (d = 1) and with none left above theta (k = 0); other rows keep theta 0
+        rng = np.random.default_rng(58)
+        for width in (0, 1, 2, 5, 40):
+            Y = rng.normal(0.0, 1.0, size=(50, width))
+            radii = rng.uniform(-3.0, 1.0, size=50)
+            out, theta = projection._l1_project(Y, radii, active=1)
+            over = ~(np.abs(Y).sum(axis=1) <= radii)
+            assert over.any() and np.all(theta[over] > 0.0) and np.all(theta[~over] == 0.0)
+            assert np.array_equal(out, np.sign(Y) * np.maximum(np.abs(Y) - theta[:, None], 0.0))
+            residual = np.abs(out).sum(axis=1) - radii - theta
+            scale = 1.0 + np.abs(radii) + np.abs(Y).sum(axis=1)
+            assert np.all(np.abs(residual[over]) <= 1e-14 * scale[over]), width
+
+    def test_rows_without_room_zero_every_off_diagonal(self):
+        # with 1 - tau + y_ii <= -max|y_j| the multiplier is -(1 - tau + y_ii)
+        # and no off-diagonal entry survives the threshold (k = 0)
+        rng = np.random.default_rng(57)
+        for _ in range(200):
+            d = int(rng.integers(1, 7))
+            i = int(rng.integers(0, d))
+            tau = float(rng.uniform(-1.0, 0.0))
+            y = rng.normal(0.0, 1.0, size=d)
+            y[i] = -(1.0 - tau) - np.abs(np.delete(y, i)).max(initial=0.0) \
+                - float(rng.uniform(0.0, 2.0))
+            x = project_row(y, i, tau, "asymmetric")
+            assert np.all(np.delete(x, i) == 0.0)
+            assert x[i] == pytest.approx(-(1.0 - tau), abs=1e-14)
+            assert _agree(x, _asym_project(y, i, 1.0 - tau), y, 1e-14)
+            assert _agree(x, brute_force_row_qp(y, i, tau, "asymmetric"), y, 1e-12)
+
+    def test_rows_that_dwarf_the_radius(self):
+        # 2**53 + 4 - 1 rounds back to 2**53 + 4; the diagonal still counts
+        # as active, so the first off-diagonal entry qualifies
+        big = 2.0 ** 53 + 4.0
+        for y, i in (([big, 0.0], 1), ([0.0, big], 0), ([-big, big, 3.0], 2),
+                     ([big, -big, 0.5], 0), ([-big], 0)):
+            y = np.array(y)
+            x = project_row(y, i, 0.0, "asymmetric")
+            assert _agree(x, _asym_project(y, i, 1.0), y, 1e-14), y
+            assert np.abs(np.delete(x, i)).sum() - x[i] <= 1.0
+
+    def test_one_by_one_matrix(self):
+        # the row has no off-diagonal entry: the diagonal takes the excess
+        for K_tilde, K_prev, alpha, expected in (([[-3.0]], [[0.5]], 1.0, -1.0),
+                                                 ([[-3.0]], [[-2.0]], 0.5, -1.5),
+                                                 ([[4.0]], [[0.5]], 1.0, 4.0)):
+            K_tilde, K_prev = np.array(K_tilde), np.array(K_prev)
+            out = pgd_project(K_tilde, K_prev, alpha, mode="asymmetric")
+            assert out[0, 0] == expected
+            assert np.array_equal(
+                out, pgd_project_rowwise(K_tilde, K_prev, alpha, "asymmetric"))
 
 class TestDisplacement:
     def test_equals_numpy_norm_bit_for_bit(self):

@@ -107,6 +107,15 @@ def test_certify_identity_boundary():
     assert certify_stable(np.eye(4), margin_tol=0.0).certified
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_certify_rejects_non_finite_margin_tolerance(tol):
+    # inf would certify any matrix, nan would refuse every one
+    with pytest.raises(ContractError, match="finite"):
+        certify_stable(np.array([[3.0, 0.2], [0.1, 0.3]]), margin_tol=tol)
+    with pytest.raises(ContractError, match="finite"):
+        certify_stable(np.eye(2), margin_tol=tol)
+
+
 def test_certificate_text_mentions_rows_and_radius():
     text = certify_stable(np.eye(2)).text()
     assert "CERTIFIED" in text
