@@ -33,6 +33,7 @@ from .data import (
     load_manifest,
     load_trajectories,
     normalize,
+    parse_row,
     resample_dataset,
     synth_handwriting_like,
     synth_stable_spiral,
@@ -51,7 +52,7 @@ from .errors import (
 from .model import KoopmanModel, LossWeights, load_checkpoint
 from .projection import displacement, pgd_project
 from .stability import MODES, barrier_values, certify_stable
-from .trainer import TrainConfig, evaluate, train
+from .trainer import LOSS_KEYS, TrainConfig, evaluate, train
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,7 @@ class RunConfig:
     ``normalize`` control the equilibrium-shift / max-abs scaling steps
     recorded in the checkpoint's preprocessing block. ``train`` holds the
     optimizer, loss and projection settings and the seed; a config file sets
-    them by ``TrainConfig``'s field names, and the loss weights and window
-    length as ``pred_weight``, ``lin_weight``, ``rec_weight`` and ``horizon``.
+    them by the keys ``TrainConfig.as_dict`` writes.
     """
 
     data: str = ""
@@ -102,12 +102,10 @@ def _declared(cls) -> dict:
     return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
-_LOSS_KEYS = {"pred_weight": "pred", "lin_weight": "lin", "rec_weight": "rec",
-              "horizon": "horizon"}
 _RUN_KEYS, _TRAIN_KEYS = _declared(RunConfig), _declared(TrainConfig)
 # every config key, with the default whose type decides how its value parses
 _DEFAULTS = {**_RUN_KEYS, **_TRAIN_KEYS, **{
-    key: _declared(LossWeights)[name] for key, name in _LOSS_KEYS.items()}}
+    key: _declared(LossWeights)[name] for key, name in LOSS_KEYS.items()}}
 
 
 def _coerce(key: str, raw: str):
@@ -162,7 +160,7 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
     """
     values = _read_config_file(path) if path else {}
     values.update({key: _coerce(key, raw) for key, raw in (overrides or {}).items()})
-    weights = LossWeights(**{name: values[key] for key, name in _LOSS_KEYS.items()
+    weights = LossWeights(**{name: values[key] for key, name in LOSS_KEYS.items()
                              if key in values})
     train_config = TrainConfig(weights=weights, **{
         key: value for key, value in values.items() if key in _TRAIN_KEYS})
@@ -176,20 +174,12 @@ def read_matrix(path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ParseError(str(exc), path=str(path), line=lineno) from None
-            if not np.all(np.isfinite(rows[-1])):
-                raise DataError(f"{path}:{lineno}: matrix entries must be finite")
-            if len(rows[-1]) != len(rows[0]):
-                raise ParseError(
-                    f"expected {len(rows[0])} columns, got {len(rows[-1])}",
-                    path=str(path), line=lineno)
+            if line:
+                rows.append(parse_row(line.split(","), path, lineno,
+                                      len(rows[0]) if rows else None,
+                                      f"matrix row {len(rows)}"))
     if not rows:
-        raise ParseError("empty matrix file", path=str(path), line=1)
+        raise ParseError("empty matrix file", path=path)
     return np.array(rows, dtype=np.float64)
 
 

@@ -6,6 +6,10 @@ dot decimal separator. A dataset manifest is a plain-text file with one
 resolved relative to the manifest). Native scientific containers are not
 parsed; convert them to this CSV layout first.
 
+``parse_row`` turns every row of numeric text into floats (trajectory and
+matrix CSVs, checkpoints) and names ``path:line`` of a ragged, malformed or
+non-finite row.
+
 Preprocessing is recorded so it can be inverted exactly: states are first
 shifted by ``offset`` (equilibrium centering) and then divided per-dimension
 by ``scale`` (max-abs normalization over the train split). The record is the
@@ -15,6 +19,7 @@ single source of truth for mapping model output back to source units.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -31,6 +36,9 @@ from .errors import (
 
 TRAIN = "train"
 VAL = "val"
+# most steps of one resampled trajectory (240 MB for a 2-D state), checked
+# before the grid is allocated
+MAX_GRID_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -138,34 +146,43 @@ class Dataset:
         return replace(self, trajectories=trajs)
 
 
+def parse_row(tokens, path, line: int, width: int | None, label: str) -> list[float]:
+    """Floats of one row's tokens; ParseError at ``path:line`` names ``label``."""
+    if width is not None and len(tokens) != width:
+        raise ParseError(f"{label}: expected {width} values, got {len(tokens)}",
+                         path=path, line=line)
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ParseError(f"{label}: {exc}", path=path, line=line) from None
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"{label}: entries must be finite", path=path, line=line)
+    return values
+
+
 def load_trajectory(path) -> Trajectory:
-    """Parse one ``t,x1,...,xn`` CSV file."""
+    """Parse one ``t,x1,...,xn`` CSV file; every fault names the file."""
     path = Path(path)
     times: list[float] = []
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
         if not header or header[0].strip() != "t" or len(header) < 2:
             raise ParseError("expected header 't,x1,...,xn'", path=path, line=1)
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != width:
-                raise ParseError(f"expected {width} columns, got {len(row)}",
-                                 path=path, line=lineno)
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from None
+            values = parse_row(row, path, reader.line_num, len(header),
+                               f"sample {len(rows)}")
             times.append(values[0])
             rows.append(values[1:])
     if len(rows) < 2:
-        raise DataError(f"{path}: needs at least 2 data rows, got {len(rows)}")
-    return Trajectory(times=np.array(times), states=np.array(rows))
+        raise ParseError(f"needs at least 2 data rows, got {len(rows)}", path=path)
+    try:
+        return Trajectory(times=np.array(times), states=np.array(rows))
+    except DataError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
 def load_trajectories(path) -> list[Trajectory]:
@@ -205,12 +222,16 @@ def load_manifest(path) -> Dataset:
 
 def resample(trajectory: Trajectory, dt: float) -> Trajectory:
     """Linear interpolation onto a uniform grid anchored at the first sample."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ContractError(f"dt must be positive, got {dt}")
     span = trajectory.duration
     if span < dt:
         raise DataError(f"trajectory spans {span} s, shorter than dt = {dt} s")
-    n_steps = int(np.floor(span / dt + 1e-9))
+    steps = span / dt
+    if not steps <= MAX_GRID_STEPS:  # also an overflow to inf
+        raise DataError(f"resampling {span} s at dt = {dt} s needs {steps:.3g} "
+                        f"steps, more than {MAX_GRID_STEPS}")
+    n_steps = int(np.floor(steps + 1e-9))
     times = trajectory.times[0] + dt * np.arange(n_steps + 1)
     states = np.column_stack([
         np.interp(times, trajectory.times, trajectory.states[:, j])

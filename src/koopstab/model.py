@@ -21,7 +21,8 @@ it against a per-window, per-step reference loss.
 
 Checkpoints are self-describing text: layer sizes, activation kinds, every
 matrix with repr-exact floats, plus optional preprocessing record and config
-key/value pairs. Round-trips are bit-exact.
+key/value pairs. Round-trips are bit-exact. Loading refuses a repeated or
+unknown entry and a matrix the model does not use.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ACTIVATIONS, DiffValue, Tape
-from .data import Preprocessing
+from .data import Preprocessing, parse_row
 from .errors import (
     ContractError,
     DataError,
@@ -366,13 +367,14 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
 
 
 CHECKPOINT_HEADER = "koopstab-checkpoint v1"
+_META_KEYS = ("encoder-activation", "decoder-activation", "encoder-layers",
+              "decoder-layers")
 
 
 def _write_matrix(lines: list[str], name: str, arr: np.ndarray) -> None:
     arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
     lines.append(f"matrix {name} {arr.shape[0]} {arr.shape[1]}")
-    for row in arr:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines.extend(" ".join(repr(float(v)) for v in row) for row in arr)
 
 
 def save_checkpoint(path, model: KoopmanModel,
@@ -384,17 +386,14 @@ def save_checkpoint(path, model: KoopmanModel,
     lines.append(f"decoder-activation {model.decoder.activation}")
     lines.append(f"encoder-layers {len(model.encoder.weights)}")
     lines.append(f"decoder-layers {len(model.decoder.weights)}")
-    for key, value in (config or {}).items():
-        lines.append(f"config {key} {value}")
+    lines.extend(f"config {key} {value}" for key, value in (config or {}).items())
     if preprocessing is not None and preprocessing.dt is not None:
         lines.append(f"preproc-dt {repr(float(preprocessing.dt))}")
     for name, arr in model.get_params().items():
         _write_matrix(lines, name, arr)
-    if preprocessing is not None:
-        if preprocessing.offset is not None:
-            _write_matrix(lines, "preproc.offset", preprocessing.offset)
-        if preprocessing.scale is not None:
-            _write_matrix(lines, "preproc.scale", preprocessing.scale)
+    for name in ("offset", "scale"):
+        if getattr(preprocessing, name, None) is not None:
+            _write_matrix(lines, f"preproc.{name}", getattr(preprocessing, name))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -414,6 +413,8 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
     meta: dict[str, str] = {}
     config: dict[str, str] = {}
     matrices: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
+    dt = None
     i = 1
     while i < len(lines):
         line = lines[i].strip()
@@ -421,51 +422,43 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
         if not line:
             continue
         tokens = line.split()
+        entry = " ".join(tokens[:2]) if tokens[0] in ("config", "matrix") else tokens[0]
+        if entry in seen:
+            raise ParseError(f"repeated entry {entry!r}", path=path, line=i)
+        seen.add(entry)
         if tokens[0] == "config":
             if len(tokens) < 3:
-                raise ParseError("config line needs key and value",
-                                 path=path, line=i)
+                raise ParseError("config line needs key and value", path=path, line=i)
             config[tokens[1]] = line.split(None, 2)[2]
         elif tokens[0] == "matrix":
             if len(tokens) != 4:
-                raise ParseError("matrix line needs name, rows, cols",
-                                 path=path, line=i)
+                raise ParseError("matrix line needs name, rows, cols", path=path, line=i)
             name = tokens[1]
             rows = _parse_count(tokens[2], f"matrix {name} rows", path, i)
             cols = _parse_count(tokens[3], f"matrix {name} columns", path, i)
-            block = []
-            for r in range(rows):
-                try:
-                    block.append([float(v) for v in lines[i + r].split()])
-                except (IndexError, ValueError):
-                    raise ParseError(f"bad row {r} of matrix {name}",
-                                     path=path, line=i + r + 1) from None
-                if len(block[-1]) != cols:
-                    raise ParseError(f"matrix {name} row {r}: expected {cols} "
-                                     f"values, got {len(block[-1])}",
-                                     path=path, line=i + r + 1)
-                if not np.all(np.isfinite(block[-1])):
-                    raise ParseError(f"matrix {name} row {r}: entries must be finite",
-                                     path=path, line=i + r + 1)
-            matrices[name] = np.array(block)
+            if i + rows > len(lines):
+                raise ParseError(f"matrix {name}: file ends before row {len(lines) - i}",
+                                 path=path, line=i)
+            matrices[name] = np.array([
+                parse_row(lines[i + r].split(), path, i + r + 1, cols,
+                          f"matrix {name} row {r}") for r in range(rows)])
             i += rows
-        else:
+        elif tokens[0] == "preproc-dt":
+            dt = parse_row(tokens[1:], path, i, 1, "preproc-dt")[0]
+        elif tokens[0] in _META_KEYS:
             meta[tokens[0]] = line.split(None, 1)[1] if len(tokens) > 1 else ""
+        else:
+            raise ParseError(f"unknown entry {tokens[0]!r}", path=path, line=i)
 
-    def meta_value(key: str) -> str:
+    for key in _META_KEYS:
         if key not in meta:
             raise ParseError(f"missing key {key}", path=path)
-        return meta[key]
 
     def build_mlp(prefix: str) -> MlpParams:
-        count = _parse_count(meta_value(f"{prefix}-layers"), f"{prefix}-layers", path)
-        activation = meta_value(f"{prefix}-activation")
-        try:
-            weights = [matrices.pop(f"{prefix}.w{k}") for k in range(count)]
-            biases = [matrices.pop(f"{prefix}.b{k}") for k in range(count)]
-        except KeyError as exc:
-            raise ParseError(f"missing matrix {exc.args[0]}", path=path) from None
-        return MlpParams(weights=weights, biases=biases, activation=activation)
+        count = _parse_count(meta[f"{prefix}-layers"], f"{prefix}-layers", path)
+        return MlpParams(weights=[matrices.pop(f"{prefix}.w{k}") for k in range(count)],
+                         biases=[matrices.pop(f"{prefix}.b{k}") for k in range(count)],
+                         activation=meta[f"{prefix}-activation"])
 
     try:
         encoder = build_mlp("encoder")
@@ -475,20 +468,12 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
     except KeyError as exc:
         raise ParseError(f"missing matrix {exc.args[0]}", path=path) from None
     model = KoopmanModel(encoder=encoder, decoder=decoder, K=K, S=S)
-    try:
-        dt = float(meta["preproc-dt"]) if "preproc-dt" in meta else None
-    except ValueError:
-        dt = np.nan  # reported below, with the non-finite values
-    if dt is not None and not np.isfinite(dt):
-        raise ParseError(f"preproc-dt must be a finite number, got "
-                         f"{meta['preproc-dt']!r}", path=path)
-    offset = matrices.pop("preproc.offset", None)
-    scale = matrices.pop("preproc.scale", None)
-    for name, arr in (("offset", offset), ("scale", scale)):
+    vectors = {}
+    for name in ("offset", "scale"):
+        arr = matrices.pop(f"preproc.{name}", None)
         if arr is not None and arr.shape != (1, model.n):
             raise ParseError(f"preproc.{name} must be 1 x {model.n}", path=path)
-    preprocessing = Preprocessing(
-        dt=dt,
-        offset=offset[0] if offset is not None else None,
-        scale=scale[0] if scale is not None else None)
-    return model, preprocessing, config
+        vectors[name] = None if arr is None else arr[0]
+    if matrices:
+        raise ParseError(f"unused matrix {next(iter(matrices))}", path=path)
+    return model, Preprocessing(dt=dt, **vectors), config

@@ -14,6 +14,10 @@ alpha < 1). TrainHistory enforces that contract on every recorded step.
 The history CSV contains no wall-clock column: two runs with the same seed
 and config must produce byte-identical logs, and timing is kept in memory
 only (``IterationRecord.wall_time``).
+
+Each setting has one name, its config-file key (a ``TrainConfig`` field or a
+``LOSS_KEYS`` key), under which the checkpoint records it, so a checkpoint's
+``config`` lines are a config file that replays the run.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import ctypes
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +83,11 @@ def keep_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
 
 
+# config-file key of each LossWeights field
+LOSS_KEYS = {"pred_weight": "pred", "lin_weight": "lin", "rec_weight": "rec",
+             "horizon": "horizon"}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer, loss, and projection settings for one training run."""
@@ -122,19 +131,12 @@ class TrainConfig:
             raise ContractError("patience must be >= 1")
 
     def as_dict(self) -> dict[str, str]:
-        return {
-            "lr": repr(self.lr), "beta1": repr(self.beta1),
-            "beta2": repr(self.beta2), "eps": repr(self.eps),
-            "epochs": str(self.epochs), "batch_size": str(self.batch_size),
-            "loss_pred": repr(self.weights.pred),
-            "loss_lin": repr(self.weights.lin),
-            "loss_rec": repr(self.weights.rec),
-            "horizon": str(self.weights.horizon),
-            "alpha": repr(self.alpha), "mode": self.mode,
-            "margin": repr(self.margin), "seed": str(self.seed),
-            "early_stop": str(self.early_stop).lower(),
-            "patience": str(self.patience),
-        }
+        """Every setting by its config-file key; ``str`` spells a float exactly."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name != "weights"}
+        values.update({k: getattr(self.weights, name) for k, name in LOSS_KEYS.items()})
+        return {key: str(value).lower() if isinstance(value, bool) else str(value)
+                for key, value in values.items()}
 
 
 @dataclass

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import koopstab
 from koopstab.cli import (
@@ -17,9 +19,15 @@ from koopstab.cli import (
     read_matrix,
     write_matrix,
 )
+from koopstab.data import (
+    MAX_GRID_STEPS,
+    Trajectory,
+    synth_stable_spiral,
+    write_trajectory_csv,
+)
 from koopstab.errors import ConfigError, ParseError
 from koopstab.model import LossWeights, load_checkpoint
-from koopstab.stability import certify_stable
+from koopstab.stability import MODES, certify_stable
 from koopstab.trainer import TrainConfig
 
 
@@ -43,7 +51,7 @@ class TestRunConfig:
                            pred_weight=0.25, rec_weight=2.0)
         assert main(["train", "--config", str(cfg)]) == 0
         _, _, saved = load_checkpoint(tmp_path / "run" / "model.ckpt")
-        assert (saved["loss_pred"], saved["loss_lin"], saved["loss_rec"],
+        assert (saved["pred_weight"], saved["lin_weight"], saved["rec_weight"],
                 saved["horizon"]) == ("0.25", "0.5", "2.0", "4")
 
     def test_run_config_declares_no_training_setting(self):
@@ -53,6 +61,26 @@ class TestRunConfig:
 
     def test_every_field_has_a_default(self):
         RunConfig()  # constructible with no arguments
+
+
+unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+weight = st.floats(0.0, allow_infinity=False)
+train_configs = st.builds(
+    TrainConfig, lr=positive, beta1=unit_open, beta2=unit_open, eps=positive,
+    epochs=st.integers(1, 10**9), batch_size=st.integers(0, 10**9),
+    weights=st.builds(lambda w, horizon: LossWeights(*w, horizon=horizon),
+                      st.tuples(weight, weight, weight).filter(lambda w: max(w) > 0.0),
+                      st.integers(1, 10**9)),
+    alpha=st.floats(0.0, 1.0, exclude_min=True), mode=st.sampled_from(MODES),
+    margin=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**64),
+    early_stop=st.booleans(), patience=st.integers(1, 10**9))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=train_configs)
+def test_settings_read_back_under_the_keys_they_are_written_with(config):
+    assert load_run_config(overrides=config.as_dict()).train == config
 
 
 class TestConfigFile:
@@ -110,6 +138,14 @@ class TestMatrixIO:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(ParseError):
             read_matrix(path)
+
+
+def write_csv_dir(directory, dataset):
+    """One trajectory CSV per trajectory of ``dataset``, named in split order."""
+    directory.mkdir()
+    for k, t in enumerate(dataset.trajectories):
+        write_trajectory_csv(directory / f"t{k}.csv", t)
+    return directory
 
 
 def write_config(tmp_path, **over):
@@ -220,18 +256,39 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt", ["1e-300", "5e-324"])
+    def test_oversized_resampling_grid_exits_2(self, tmp_path, capsys, dt):
+        data_dir = write_csv_dir(tmp_path / "trajs", synth_stable_spiral(n_traj=3))
+        cfg = write_config(tmp_path, data=str(data_dir), dt=dt)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"more than {MAX_GRID_STEPS}" in capsys.readouterr().err
+
+    def test_checkpoint_config_lines_replay_the_run(self, tmp_path):
+        cfg = write_config(tmp_path, epochs=3, lr="0.0123", batch_size=2,
+                           pred_weight=0.5, early_stop="true", mode="asymmetric")
+        assert main(["train", "--config", str(cfg)]) == 0
+        run = tmp_path / "run"
+        recorded = [line.split(" ", 2)[1:] for line in
+                    (run / "model.ckpt").read_text().splitlines()
+                    if line.startswith("config ")]
+        # the data, model-shape and output keys are the run's, not training's
+        replay = tmp_path / "replay.cfg"
+        replay.write_text("".join(f"{key} = {value}\n" for key, value in recorded)
+                          + "data = synth:spiral\nlift_dim = 4\nhidden = 6\n"
+                          + f"n_val = 1\nout = {tmp_path / 'replay'}\n")
+        assert main(["train", "--config", str(replay)]) == 0
+        for name in ("history.csv", "model.ckpt"):
+            assert (tmp_path / "replay" / name).read_bytes() == \
+                (run / name).read_bytes(), name
+
     def test_dictionary_key_is_unknown_to_train(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dictionary="monomials:2")
         assert main(["train", "--config", str(cfg)]) == 2
         assert "dictionary" in capsys.readouterr().err
 
     def test_zero_variance_validation_trajectory_exits_3(self, tmp_path, capsys):
-        from koopstab.data import Trajectory, synth_stable_spiral, write_trajectory_csv
-        data_dir = tmp_path / "trajs"
-        data_dir.mkdir()
-        for k, t in enumerate(synth_stable_spiral(n_traj=2, length=20, seed=5,
-                                                           n_val=0).trajectories):
-            write_trajectory_csv(data_dir / f"t{k}.csv", t)
+        data_dir = write_csv_dir(tmp_path / "trajs", synth_stable_spiral(
+            n_traj=2, length=20, seed=5, n_val=0))
         # 0.3 does not survive the mean exactly: the variance is ~1e-33, not 0
         for level in (0.0, 0.3):
             flat = Trajectory(times=np.arange(20) * 0.1,
@@ -356,13 +413,8 @@ class TestProjectCommand:
 
 class TestEdmdCommand:
     def test_recovers_generator_and_reports(self, tmp_path, capsys):
-        from koopstab.data import synth_stable_spiral, write_trajectory_csv
-        dataset = synth_stable_spiral(n_traj=3, length=30, decay=0.9, seed=5,
-                                      n_val=0)
-        data_dir = tmp_path / "trajs"
-        data_dir.mkdir()
-        for k, t in enumerate(dataset.trajectories):
-            write_trajectory_csv(data_dir / f"t{k}.csv", t)
+        data_dir = write_csv_dir(tmp_path / "trajs", synth_stable_spiral(
+            n_traj=3, length=30, decay=0.9, seed=5, n_val=0))
         dest = tmp_path / "K.csv"
         assert main(["edmd", str(data_dir), "--out", str(dest)]) == 0
         theta = 0.1
@@ -420,6 +472,29 @@ class TestEvalCommand:
         assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
         err = capsys.readouterr().err
         assert f"matrix {name} row 0" in err and f"model.ckpt:{row + 1}:" in err
+
+    @pytest.mark.parametrize("extra, message", [
+        ("matrix K 4 4\n" + "0 0 0 0\n" * 4, "repeated entry 'matrix K'"),
+        ("config seed 9\n", "repeated entry 'config seed'"),
+        ("encoder-activation relu\n", "repeated entry 'encoder-activation'"),
+        ("matrix Kold 1 1\n0.5\n", "unused matrix Kold"),
+    ])
+    def test_repeated_or_unused_entry_exits_2(self, tmp_path, capsys, extra, message):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        ckpt.write_text(ckpt.read_text() + extra)
+        assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_tiny_preprocessing_dt_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        ckpt.write_text(ckpt.read_text().replace("preproc-dt 0.1", "preproc-dt 1e-300"))
+        data_dir = write_csv_dir(tmp_path / "trajs", synth_stable_spiral(n_traj=3))
+        assert main(["eval", str(ckpt), str(data_dir), "--n-val", "1"]) == 2
+        assert f"more than {MAX_GRID_STEPS}" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code = main(["eval", str(tmp_path / "no.ckpt"), "synth:spiral"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from koopstab import data
 from koopstab.data import (
     Dataset,
     Trajectory,
@@ -12,6 +13,7 @@ from koopstab.data import (
     load_trajectories,
     load_trajectory,
     normalize,
+    parse_row,
     resample,
     resample_dataset,
     synth_handwriting_like,
@@ -95,6 +97,21 @@ class TestCsvLoading:
             load_trajectory(f)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_names_line(self, tmp_path, bad):
+        f = tmp_path / "nan.csv"
+        f.write_text(f"t,x1\n0.0,1.0\n0.1,{bad}\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(f)
+        assert str(err.value) == f"{f}:3: sample 1: entries must be finite"
+
+    def test_trajectory_fault_names_file(self, tmp_path):
+        f = tmp_path / "back.csv"
+        f.write_text("t,x1\n0.0,1.0\n0.2,2.0\n0.1,3.0\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(f)
+        assert str(err.value) == f"{f}: timestamps must be strictly increasing"
+
     def test_blank_lines_skipped(self, tmp_path):
         f = tmp_path / "gaps.csv"
         f.write_text("t,x1\n0.0,1.0\n\n0.1,2.0\n")
@@ -121,6 +138,26 @@ class TestCsvLoading:
         back = load_trajectory(f)
         np.testing.assert_array_equal(back.states, t.states)
         np.testing.assert_array_equal(back.times, t.times)
+
+
+class TestParseRow:
+    def test_floats_of_tokens(self):
+        assert parse_row(["1.5", " -2e3 "], "m.csv", 4, 2, "row 0") == [1.5, -2000.0]
+
+    @pytest.mark.parametrize("tokens, message", [
+        (["1.0"], "expected 2 values, got 1"),
+        (["1.0", "x"], "could not convert string to float: 'x'"),
+        (["1.0", "1e999"], "entries must be finite"),
+        (["nan", "0"], "entries must be finite"),
+    ])
+    def test_fault_names_path_line_and_label(self, tokens, message):
+        with pytest.raises(ParseError) as err:
+            parse_row(tokens, "m.csv", 4, 2, "matrix K row 3")
+        assert str(err.value) == f"m.csv:4: matrix K row 3: {message}"
+        assert err.value.line == 4
+
+    def test_any_width_without_one_given(self):
+        assert parse_row(["1", "2", "3"], "m.csv", 1, None, "row 0") == [1.0, 2.0, 3.0]
 
 
 class TestManifest:
@@ -172,6 +209,27 @@ class TestResample:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ContractError):
             resample(make_traj(np.zeros((3, 1))), 0.0)
+
+    @pytest.mark.parametrize("times, dt", [
+        ([0.0, 8.0], 1e-300),      # tiny dt
+        ([0.0, 8.0], 5e-324),      # span / dt overflows to inf
+        ([0.0, 1e300], 0.1),       # huge span
+    ])
+    def test_oversized_grid_rejected_before_allocating(self, times, dt):
+        t = Trajectory(times=np.array(times), states=np.zeros((2, 1)))
+        with pytest.raises(DataError, match="steps"):
+            resample(t, dt)
+
+    def test_grid_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(data, "MAX_GRID_STEPS", 10)
+        t = make_traj(np.zeros((3, 1)), dt=0.5)
+        assert resample(t, 0.1).n_samples == 11
+        with pytest.raises(DataError, match="more than 10"):
+            resample(t, 0.09)
+
+    def test_nan_dt_rejected(self):
+        with pytest.raises(ContractError):
+            resample(make_traj(np.zeros((3, 1))), float("nan"))
 
     def test_dataset_resample_records_dt(self):
         ds = synth_stable_spiral(n_traj=3, length=10, dt=0.05, n_val=1)

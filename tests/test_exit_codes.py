@@ -3,8 +3,10 @@
 ``verify`` exits 0 (certified), 1 (refused), 2 (bad input) or 3 (numeric
 failure); every other command exits 0, 2 or 3. Exit 4 marks an exception the
 boundary let through, so it must never occur here, not even for bytes that
-are not UTF-8 or a ``train`` config full of bad values. Examples are drawn
-from a fixed seed, so every run checks the same inputs.
+are not UTF-8 or a ``train`` config full of bad values. ``train`` runs on a
+built-in generator and on a directory of CSV files, which alone is
+resampled to the drawn ``dt``. Examples are drawn from a fixed seed, so every
+run checks the same inputs.
 """
 
 import tempfile
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from koopstab.cli import main
-from koopstab.data import Preprocessing
+from koopstab.data import Preprocessing, synth_stable_spiral, write_trajectory_csv
 from koopstab.model import KoopmanModel, save_checkpoint
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -122,7 +124,7 @@ def test_eval_exit_codes_on_corrupted_checkpoints(checkpoint_text, data):
 TRAIN_VALUES = {
     "data": ["synth:spiral"], "lift_dim": ["1", "2", "4"],
     "hidden": ["3", "2, 4", "4 4 4"], "activation": ["tanh", "relu", "identity"],
-    "k_init": ["certified", "infeasible"], "dt": ["0", "0.1", "0.25"],
+    "k_init": ["certified", "infeasible"], "dt": ["0", "0.1", "0.25", "1e-300"],
     "center": ["true", "false"], "normalize": ["yes", "0"], "n_val": ["0", "1", "2"],
     "checkpoint_every": ["0", "1", "2"], "eval_split": ["train", "val"],
     "lr": ["1e-3", "0.05"], "beta1": ["0.9", "0.5"], "beta2": ["0.999", "0.9"],
@@ -147,6 +149,25 @@ def train_configs(draw):
     return config
 
 
+def train_argv(config, csv_source=False):
+    """``train`` on a config file of ``TRAIN_BASE`` updated by ``config``.
+
+    With ``csv_source`` a valid ``data`` value names a directory of CSV files
+    instead of the generator.
+    """
+    def argv(tmp):
+        settings = {**TRAIN_BASE, **config, "out": str(tmp / "run")}
+        if csv_source and settings["data"] == "synth:spiral":
+            settings["data"] = str(tmp / "trajs")
+            (tmp / "trajs").mkdir()
+            for k, traj in enumerate(synth_stable_spiral(n_traj=4, length=40).trajectories):
+                write_trajectory_csv(tmp / "trajs" / f"t{k}.csv", traj)
+        text = "".join(f"{key} = {value}\n" for key, value in settings.items())
+        return ["train", "--config", str(write(tmp / "run.cfg", text))]
+
+    return argv
+
+
 @SETTINGS
 @given(config=train_configs())
 @example(config={"seed": "-1"})
@@ -157,9 +178,12 @@ def train_configs(draw):
 @example(config={"dt": "nan"})
 @example(config={"lr": "1e308"})
 def test_train_exit_codes_on_random_configs(config):
-    def argv(tmp):
-        settings = {**TRAIN_BASE, **config, "out": str(tmp / "run")}
-        text = "".join(f"{key} = {value}\n" for key, value in settings.items())
-        return ["train", "--config", str(write(tmp / "run.cfg", text))]
+    assert run(train_argv(config)) in {0, 2, 3}
 
-    assert run(argv) in {0, 2, 3}
+
+@SETTINGS
+@given(config=train_configs())
+@example(config={"dt": "1e-300"})
+@example(config={"dt": "0.1"})
+def test_train_exit_codes_on_random_configs_over_csv_files(config):
+    assert run(train_argv(config, csv_source=True)) in {0, 2, 3}

@@ -471,6 +471,39 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="preproc"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("extra, entry", [
+        (["matrix K 3 3", "1 0 0", "0 1 0", "0 0 1"], "matrix K"),
+        (["config seed 1"], "config seed"),
+        (["encoder-activation relu"], "encoder-activation"),
+        (["preproc-dt 0.2"], "preproc-dt"),
+    ])
+    def test_repeated_entry_rejected_at_its_line(self, tmp_path, extra, entry):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(seed=17), Preprocessing(dt=0.1),
+                        config={"seed": "0"})
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + extra) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}:{len(lines) + 1}: repeated entry {entry!r}"
+
+    def test_unknown_entry_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(seed=17))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + ["note two words"] + lines[1:]))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}:2: unknown entry 'note'"
+
+    def test_unused_matrix_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(seed=17))
+        path.write_text(path.read_text() + "matrix Kold 1 2\n0.5 0.25\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: unused matrix Kold"
+
     def test_truncated_matrix_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, tiny_model(seed=15))
