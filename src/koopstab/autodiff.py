@@ -28,6 +28,14 @@ same float operations in the same order as the chain
 :func:`matmul` -> :func:`add_bias` -> :func:`elementwise`, which remain
 available as separate operations.
 
+A squared distance to gathered columns, ``||a[:, idx] - b||^2``, records
+as one operation too, :func:`gather_sq_dist`. It keeps no array of its
+own: the forward sums the squared residual and drops it, and the adjoint
+gathers the residual again (one ``np.take`` and a subtraction) instead of
+holding it on the tape until the backward pass. Its value and gradients
+are those of :func:`gather_cols` -> :func:`sub` -> :func:`sum_sq_norm`, bit
+for bit.
+
 Only the operations needed to train small fully-connected networks and to
 differentiate through products like ``inv(S) @ K @ S`` are provided. There
 is no broadcasting beyond the explicit column-bias cases in
@@ -344,28 +352,70 @@ def sum_sq_norm(a: DiffValue) -> DiffValue:
     return tape._record(out, (a,), lambda g: (2.0 * g[0, 0] * av,))
 
 
-def gather_cols(a: DiffValue, indices) -> DiffValue:
-    """Select columns ``a[:, indices]``; the adjoint scatter-adds back."""
-    tape = _same_tape(a)
+def _column_indices(a: DiffValue, indices, opname: str) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.intp).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[1]):
         raise DimensionError(
-            f"gather_cols: index out of range for {a.value.shape[1]} columns")
-    out = DiffValue(np.take(a.value, idx, axis=1), tape)
-    rows, cols = a.value.shape
+            f"{opname}: index out of range for {a.value.shape[1]} columns")
+    return idx
+
+
+def _scatter_cols(idx: np.ndarray, rows: int, cols: int) -> Callable:
+    """The adjoint of ``a[:, idx]`` for a (rows, cols) ``a``: g -> its scatter-add."""
     distinct = bool(np.all(idx[1:] > idx[:-1]))
 
-    def backward_fn(g):
+    def scatter(g):
         if distinct:
             # each column receives one entry; adding 0.0 turns -0.0 into
             # +0.0 exactly as bincount's 0.0 + g does
             buf = np.zeros((rows, cols))
             buf[:, idx] = g
             buf += 0.0
-            return (buf,)
+            return buf
         # one bincount over all rows; each entry sums its columns in index order
         flat = (idx + cols * np.arange(rows)[:, None]).ravel()
         buf = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)
-        return (buf.reshape(rows, cols),)
+        return buf.reshape(rows, cols)
 
-    return tape._record(out, (a,), backward_fn)
+    return scatter
+
+
+def gather_cols(a: DiffValue, indices) -> DiffValue:
+    """Select columns ``a[:, indices]``; the adjoint scatter-adds back."""
+    tape = _same_tape(a)
+    idx = _column_indices(a, indices, "gather_cols")
+    out = DiffValue(np.take(a.value, idx, axis=1), tape)
+    scatter = _scatter_cols(idx, *a.value.shape)
+    return tape._record(out, (a,), lambda g: (scatter(g),))
+
+
+def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
+    """Squared distance ``||a[:, indices] - b||^2`` as a (1, 1) scalar.
+
+    No array of its own outlives the call: the adjoint gathers the
+    residual again from ``a`` and ``b``, which are never written. The value
+    and both gradients are the float operations of
+    ``sum_sq_norm(sub(gather_cols(a, indices), b))`` in the same order.
+    """
+    tape = _same_tape(a, b)
+    idx = _column_indices(a, indices, "gather_sq_dist")
+    if b.value.shape != (a.value.shape[0], idx.size):
+        raise DimensionError(
+            f"gather_sq_dist: {idx.size} columns of {a.value.shape} vs {b.value.shape}")
+    av, bv = a.value, b.value
+
+    def residual():
+        r = np.take(av, idx, axis=1)
+        r -= bv
+        return r
+
+    r = residual()
+    out = DiffValue(np.array([[np.sum(r * r)]]), tape)
+    scatter = _scatter_cols(idx, *av.shape)
+
+    def backward_fn(g):
+        gr = residual()
+        gr *= 2.0 * g[0, 0]
+        return scatter(gr), -gr
+
+    return tape._record(out, (a, b), backward_fn)

@@ -109,6 +109,8 @@ _DEFAULTS = {**_RUN_KEYS, **_TRAIN_KEYS, **{
 
 
 def _coerce(key: str, raw: str):
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown config key {key!r}")
     default = _DEFAULTS[key]
     if isinstance(default, bool):
         low = raw.lower()

@@ -300,6 +300,32 @@ def _check_horizon(T: int, horizon: int) -> None:
             f"trajectory has {T} samples, need {horizon + 1} for horizon {horizon}")
 
 
+# the most one sliding_window_loss tape may record; a batch that needs more is
+# refused before anything is allocated (the backward pass needs about as
+# much again for gradients)
+MAX_TAPE_BYTES = 1 << 30
+
+
+def tape_bytes(model: KoopmanModel, n_samples: int, n_windows: int,
+               horizon: int) -> int:
+    """Bytes of the arrays a training step's tape holds, with every loss term on.
+
+    The parameter leaves. Per sample: the data, every encoder layer and, for
+    the rec term, every decoder layer and the residual. Per window: the
+    H + 1 lifted iterates, the rec term's H + 1 gathered residuals and, for
+    the pred term, every decoder layer at each of the H steps. Per d x d:
+    S^-1, the copy of S kept with it, S^-1 K and S^-1 K S.
+    """
+    n, d = model.n, model.d
+    enc = sum(model.encoder.layer_sizes[1:])
+    dec = sum(model.decoder.layer_sizes[1:])
+    floats = (sum(p.size for p in model.get_params().values())
+              + n_samples * (2 * n + enc + dec)
+              + n_windows * ((horizon + 1) * (d + n) + horizon * dec)
+              + 4 * d * d)
+    return 8 * floats
+
+
 def sliding_window_loss(bound: BoundModel, batch: Sequence,
                         weights: LossWeights,
                         components: dict | None = None) -> DiffValue:
@@ -312,6 +338,9 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
 
     When ``components`` is given it is filled with the unweighted per-window
     means of the three terms (zero for terms whose weight is zero).
+
+    A batch whose tape would hold more than ``MAX_TAPE_BYTES`` (see
+    ``tape_bytes``) raises ``DataError`` before anything is allocated.
     """
     if len(batch) == 0:
         raise DataError("empty batch")
@@ -320,10 +349,17 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
     for X in arrays:
         _check_horizon(X.shape[0], H)
     offsets = np.cumsum([0] + [X.shape[0] for X in arrays])
+    n_windows = int(offsets[-1]) - H * len(arrays)
+    needed = tape_bytes(bound.model, int(offsets[-1]), n_windows, H)
+    if needed > MAX_TAPE_BYTES:
+        raise DataError(
+            f"a step over {n_windows} windows of {len(arrays)} trajectories would "
+            f"record {needed / 2**30:.3g} GiB on the tape, more than the "
+            f"{MAX_TAPE_BYTES / 2**30:g} GiB limit; lower batch_size (trajectories "
+            f"per step) or train on shorter trajectories")
     X_all = np.vstack(arrays).T
     starts = np.concatenate([
         off + np.arange(X.shape[0] - H) for off, X in zip(offsets, arrays)])
-    n_windows = starts.size
 
     X_leaf = bound.tape.leaf(X_all)
     Psi_all = bound.encode(X_leaf)
@@ -335,11 +371,10 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
     for k in range(1, H + 1):
         z = ad.matmul(Keff, z)
         if weights.lin > 0.0:
-            term = ad.sum_sq_norm(ad.sub(ad.gather_cols(Psi_all, starts + k), z))
+            term = ad.gather_sq_dist(Psi_all, starts + k, z)
             lin_total = term if lin_total is None else ad.add(lin_total, term)
         if weights.pred > 0.0:
-            targets = bound.tape.leaf(X_all[:, starts + k])
-            term = ad.sum_sq_norm(ad.sub(bound.decode(z), targets))
+            term = ad.gather_sq_dist(X_leaf, starts + k, bound.decode(z))
             pred_total = term if pred_total is None else ad.add(pred_total, term)
 
     parts = []

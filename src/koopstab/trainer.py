@@ -302,12 +302,15 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
     best_val = np.inf
     best_epoch = 0
     iteration = 0
+    h_post = None
 
     for epoch in range(config.epochs):
         for batch in _batches(train_trajs, config.batch_size, rng):
             started = time.perf_counter()
             K_pre = model.K.copy()
-            h_pre = barrier_values(K_pre).rows(config.mode)
+            # K_pre holds the bytes of the last step's K_proj, whose barriers
+            # that step measured
+            h_pre = barrier_values(K_pre).rows(config.mode) if h_post is None else h_post
 
             tape = Tape()
             bound = BoundModel(tape, model)
@@ -329,6 +332,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
                                  config.margin)
             new_params["K"] = K_proj
             model.set_params(new_params)
+            h_post = barrier_values(K_proj).rows(config.mode)
 
             val_nmse = _val_nmse(model, dataset) if score_val else float("nan")
             history.append(IterationRecord(
@@ -340,7 +344,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
                 rec=components_buf.get("rec", 0.0),
                 h_pre=h_pre,
                 h_unprojected=h_unprojected,
-                h_post=barrier_values(K_proj).rows(config.mode),
+                h_post=h_post,
                 displacement=displacement(K_tilde, K_proj),
                 val_nmse=val_nmse,
                 wall_time=time.perf_counter() - started))

@@ -178,12 +178,18 @@ def _loss_through(op_name, tape, x):
     if op_name == "gather_cols":
         idx = [0, 2, 2, 1]  # duplicate column exercises scatter-add
         return ad.sum_sq_norm(ad.gather_cols(x, idx))
+    if op_name == "gather_sq_dist":
+        other = tape.leaf(np.linspace(-0.4, 0.6, x.value.shape[0] * 4).reshape(-1, 4))
+        return ad.sum_sq_norm(ad.gather_sq_dist(x, [0, 2, 2, 1], other))
+    if op_name == "sq_dist_arg":
+        base = tape.leaf(np.linspace(-0.4, 0.6, x.value.shape[0] * 5).reshape(-1, 5))
+        return ad.sum_sq_norm(ad.gather_sq_dist(base, [4, 0, 2], x))
     raise AssertionError(op_name)
 
 
 SWEEP_OPS = ["matmul_left", "matmul_right", "matinv", "tanh", "relu", "identity",
              "add", "sub", "scale", "add_bias", "bias_arg", "sum_sq_norm",
-             "gather_cols"]
+             "gather_cols", "gather_sq_dist", "sq_dist_arg"]
 
 
 @pytest.mark.parametrize("op_name", SWEEP_OPS)
@@ -284,6 +290,31 @@ def test_dense_equals_the_matmul_add_bias_elementwise_chain(fn):
         np.testing.assert_array_equal(got, want)
     for got, want in zip(fused_inputs, (w0, x0, b0)):
         np.testing.assert_array_equal(got, want)  # forward and backward write no input
+
+
+@pytest.mark.parametrize("idx", [[0, 2, 3, 6], [1, 1, 4, 0, 4, 4], [5, 3, 0]])
+@pytest.mark.parametrize("c", [1.5, -0.5])
+def test_gather_sq_dist_equals_the_gather_sub_sum_sq_norm_chain(idx, c):
+    rng = np.random.default_rng(13)
+    a0 = rng.standard_normal((3, 7))
+    b0 = rng.standard_normal((3, len(idx)))
+    b0[:, ::2] = a0[:, idx][:, ::2]  # exactly zero residuals
+
+    def run(op):
+        tape = ad.Tape()
+        a, b = tape.leaf(a0), tape.leaf(b0)
+        out = op(a, b)
+        tape.backward(ad.scale(out, c))  # c < 0 flips the sign of every zero
+        return [out.value, a.grad, b.grad], [a.value, b.value]
+
+    fused, fused_inputs = run(lambda a, b: ad.gather_sq_dist(a, idx, b))
+    chain, _ = run(lambda a, b: ad.sum_sq_norm(ad.sub(ad.gather_cols(a, idx), b)))
+    # with c > 0 the zero residuals reach b as -0.0
+    assert np.any((chain[2] == 0.0) & np.signbit(chain[2])) == (c > 0)
+    for got, want in zip(fused, chain):
+        assert same_bits(got, want)
+    for got, want in zip(fused_inputs, (a0, b0)):
+        assert same_bits(got, want)  # forward and backward write no input
 
 
 # ----------------------------------------------------- tape lifetime, fan-out
@@ -509,6 +540,10 @@ def test_shape_mismatches_raise_dimension_error():
         ad.dense(a, b, tape.leaf(np.ones((2, 1))), "tanh")
     with pytest.raises(DimensionError):
         ad.dense(a, tape.leaf(np.ones((3, 4))), tape.leaf(np.ones((3, 1))), "tanh")
+    with pytest.raises(DimensionError):
+        ad.gather_sq_dist(a, [0, 1], b)
+    with pytest.raises(DimensionError):
+        ad.gather_sq_dist(a, [0, 1, 3], b)
 
 
 def test_singular_and_ill_conditioned_inputs_refused():
@@ -534,6 +569,8 @@ def test_backward_contract_errors():
     other = ad.Tape()
     with pytest.raises(ContractError):
         ad.add(x, other.leaf(np.ones((2, 2))))
+    with pytest.raises(ContractError):
+        ad.gather_sq_dist(x, [0, 1], other.leaf(np.ones((2, 2))))
     with pytest.raises(ContractError):
         tape.leaf([[np.nan, 0.0]])
     with pytest.raises(ContractError):

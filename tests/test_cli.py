@@ -83,6 +83,11 @@ def test_settings_read_back_under_the_keys_they_are_written_with(config):
     assert load_run_config(overrides=config.as_dict()).train == config
 
 
+def test_unknown_override_key_rejected():
+    with pytest.raises(ConfigError, match="loss_pred"):
+        load_run_config(overrides={"loss_pred": "1.0"})
+
+
 class TestConfigFile:
     def test_parse_round_trip(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -262,6 +267,14 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, data=str(data_dir), dt=dt)
         assert main(["train", "--config", str(cfg)]) == 2
         assert f"more than {MAX_GRID_STEPS}" in capsys.readouterr().err
+
+    def test_batch_over_the_tape_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(koopstab.model, "MAX_TAPE_BYTES", 1 << 16)
+        cfg = write_config(tmp_path, batch_size=2)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "windows" in err and "batch_size" in err
+        assert not (tmp_path / "run" / "history.csv").exists()
 
     def test_checkpoint_config_lines_replay_the_run(self, tmp_path):
         cfg = write_config(tmp_path, epochs=3, lr="0.0123", batch_size=2,

@@ -1,8 +1,11 @@
 """Model tests: MLP mechanics, similarity, losses, gradients, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from koopstab import model as model_module
 from koopstab.autodiff import Tape
 from koopstab.data import Preprocessing, synth_handwriting_like
 from koopstab.errors import (
@@ -20,6 +23,7 @@ from koopstab.model import (
     load_checkpoint,
     save_checkpoint,
     sliding_window_loss,
+    tape_bytes,
 )
 from koopstab.stability import certify_stable
 from helpers import (
@@ -356,13 +360,52 @@ class TestSlidingWindowLoss:
                            bound_slow.leaves[name].grad) <= 1e-9
 
     def test_criterion_09_shape_records_one_node_per_layer(self):
-        """Each MLP layer is one node: 4 encoder and 11 x 4 decoder layers of 139."""
+        """Each MLP layer is one node: 4 encoder and 11 x 4 decoder layers of 109.
+
+        Each step's lin and pred terms are one ``gather_sq_dist`` node each.
+        """
         dataset = synth_handwriting_like(seed=7)
         m = KoopmanModel.init(n=dataset.dim, d=20, hidden=(50, 50, 50), seed=7)
         tape = Tape()
         sliding_window_loss(BoundModel(tape, m), [t.states for t in dataset.train],
                             LossWeights(horizon=10))
-        assert len(tape) == 139
+        assert len(tape) == 109
+
+    def test_wide_step_tape_holds_what_tape_bytes_counts(self):
+        """d=200, two trajectories, H=10: 9.7 MB live while every term kept
+        its residual and its gathered lin targets, 5.1 MB since."""
+        dataset = synth_handwriting_like(n_traj=12, noise=0.5, seed=3, n_val=2)
+        batch = [t.states for t in dataset.train][:2]
+        m = KoopmanModel.init(n=dataset.dim, d=200, hidden=(32, 32), seed=3,
+                              k_init="infeasible")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bound = BoundModel(Tape(), m)
+            bound_at = tracemalloc.get_traced_memory()[0]
+            loss = sliding_window_loss(bound, batch, LossWeights(horizon=10))
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live - bound_at < 6e6
+        n_samples = sum(len(states) for states in batch)
+        estimate = tape_bytes(m, n_samples, n_samples - 2 * 10, 10)
+        assert 0.9 < estimate / (live - start) < 1.1
+        assert loss.value.shape == (1, 1)
+
+    def test_batch_over_the_tape_limit_is_refused_before_recording(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        m = tiny_model(seed=12)
+        trajs = [rng.normal(size=(7, 2)), rng.normal(size=(6, 2))]
+        w = LossWeights(horizon=2)
+        needed = tape_bytes(m, 13, 9, 2)
+        monkeypatch.setattr(model_module, "MAX_TAPE_BYTES", needed - 1)
+        tape = Tape()
+        with pytest.raises(DataError, match="9 windows of 2 trajectories.*batch_size"):
+            sliding_window_loss(BoundModel(tape, m), trajs, w)
+        assert len(tape) == 0
+        monkeypatch.setattr(model_module, "MAX_TAPE_BYTES", needed)
+        sliding_window_loss(BoundModel(Tape(), m), trajs, w)
 
     def test_effective_matrix_is_computed_once_per_tape(self):
         m = tiny_model()
