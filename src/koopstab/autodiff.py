@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over dense matrices.
 
 Everything is a 2-D float64 array: vectors are (n, 1) columns, scalars are
-(1, 1). Operations record themselves on a :class:`Tape` in execution order,
-which is automatically a topological order, so a backward pass is a single
-reverse sweep. Gradients accumulate (sum) across fan-out; a fresh tape is
-used per training step, so there is nothing to reset.
+(1, 1), and :meth:`Tape.leaf` refuses any other rank. Operations record
+themselves on a :class:`Tape` in execution order, which is automatically a
+topological order, so a backward pass is a single reverse sweep. Gradients
+accumulate (sum) across fan-out; a fresh tape is used per training step, so
+there is nothing to reset.
 
 Gradients are materialised lazily: a value holds no gradient array until
 the sweep reaches it. A value's first contribution is borrowed, because an
@@ -36,6 +37,10 @@ holding it on the tape until the backward pass. Its value and gradients
 are those of :func:`gather_cols` -> :func:`sub` -> :func:`sum_sq_norm`, bit
 for bit.
 
+A training step records only :func:`dense`, :func:`matmul`,
+:func:`matinv`, :func:`gather_cols`, :func:`gather_sq_dist`, :func:`add`
+and :func:`scale`.
+
 Only the operations needed to train small fully-connected networks and to
 differentiate through products like ``inv(S) @ K @ S`` are provided. There
 is no broadcasting beyond the explicit column-bias cases in
@@ -53,17 +58,6 @@ from .errors import ContractError, DimensionError, SingularMatrixError
 ACTIVATIONS = ("tanh", "relu", "identity")
 
 COND_CAP = 1e8
-
-
-def _as_matrix(value) -> np.ndarray:
-    arr = np.array(value, dtype=np.float64, copy=True, order="C")
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    elif arr.ndim != 2:
-        raise DimensionError(f"expected at most 2 dimensions, got shape {arr.shape}")
-    return arr
 
 
 class DiffValue:
@@ -90,13 +84,6 @@ class DiffValue:
             return np.zeros_like(self.value)
         return self._grad
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"DiffValue(shape={self.value.shape})"
-
 
 class _Node:
     __slots__ = ("out", "parents", "backward_fn")
@@ -116,8 +103,10 @@ class Tape:
         self._backward_done = False
 
     def leaf(self, value) -> DiffValue:
-        """Register an input (parameter or data constant) on this tape."""
-        arr = _as_matrix(value)
+        """Register a copy of a 2-D input (parameter or data constant) on this tape."""
+        arr = np.array(value, dtype=np.float64, copy=True, order="C")
+        if arr.ndim != 2:
+            raise DimensionError(f"a leaf must be 2-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ContractError("leaf values must be finite")
         return DiffValue(arr, self)

@@ -80,7 +80,6 @@ class RunConfig:
     normalize: bool = True
     n_val: int = 2
     checkpoint_every: int = 0
-    eval_split: str = "val"
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
@@ -92,9 +91,6 @@ class RunConfig:
             raise ConfigError(f"dt must be finite and >= 0, got {self.dt}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.eval_split not in ("train", "val"):
-            raise ConfigError(
-                f"eval_split must be 'train' or 'val', got {self.eval_split!r}")
 
 
 def _declared(cls) -> dict:
@@ -237,7 +233,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                     checkpoint_every=config.checkpoint_every)
     history.save_csv(out / "history.csv")
 
-    split = config.eval_split if dataset.subset(config.eval_split) else "train"
+    split = "val" if dataset.val else "train"
     report = evaluate(model, dataset, split=split)
     report.save_csv(out / "metrics.csv")
 
@@ -291,9 +287,12 @@ def cmd_edmd(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    model, preprocessing, _ = load_checkpoint(args.checkpoint)
+    model, preprocessing, saved = load_checkpoint(args.checkpoint)
+    # a generator rebuilds the data the run trained on from the run's seed
+    seed = _coerce("seed", saved.get("seed", "0"))
     config = RunConfig(data=args.data, center=False, normalize=False,
-                       dt=preprocessing.dt or 0.0, n_val=args.n_val)
+                       dt=preprocessing.dt or 0.0, n_val=args.n_val,
+                       train=TrainConfig(seed=seed))
     raw = _load_dataset(config)
     dataset = dataclasses.replace(raw.map_states(preprocessing.apply),
                                   preprocessing=preprocessing)

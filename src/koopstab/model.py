@@ -311,16 +311,16 @@ def tape_bytes(model: KoopmanModel, n_samples: int, n_windows: int,
     """Bytes of the arrays a training step's tape holds, with every loss term on.
 
     The parameter leaves. Per sample: the data, every encoder layer and, for
-    the rec term, every decoder layer and the residual. Per window: the
-    H + 1 lifted iterates, the rec term's H + 1 gathered residuals and, for
-    the pred term, every decoder layer at each of the H steps. Per d x d:
-    S^-1, the copy of S kept with it, S^-1 K and S^-1 K S.
+    the rec term, every decoder layer. Per window: the H + 1 lifted
+    iterates, the rec term's H + 1 gathered data targets and, for the pred
+    term, every decoder layer at each of the H steps. Per d x d: S^-1, the
+    copy of S kept with it, S^-1 K and S^-1 K S.
     """
     n, d = model.n, model.d
     enc = sum(model.encoder.layer_sizes[1:])
     dec = sum(model.decoder.layer_sizes[1:])
     floats = (sum(p.size for p in model.get_params().values())
-              + n_samples * (2 * n + enc + dec)
+              + n_samples * (n + enc + dec)
               + n_windows * ((horizon + 1) * (d + n) + horizon * dec)
               + 4 * d * d)
     return 8 * floats
@@ -384,10 +384,10 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
         parts.append(ad.scale(lin_total, weights.lin))
     rec_total = None
     if weights.rec > 0.0:
-        residual = ad.sub(bound.decode(Psi_all), X_leaf)
         # each sample enters once per window containing it
         window_cols = (starts[:, None] + np.arange(H + 1)[None, :]).ravel()
-        rec_total = ad.sum_sq_norm(ad.gather_cols(residual, window_cols))
+        rec_total = ad.gather_sq_dist(bound.decode(Psi_all), window_cols,
+                                      bound.tape.leaf(X_all[:, window_cols]))
         parts.append(ad.scale(rec_total, weights.rec))
     if components is not None:
         components.clear()

@@ -83,6 +83,11 @@ def keep_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
 
 
+# Adam's moment decay rates and denominator guard; no run changes them
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 # config-file key of each LossWeights field
 LOSS_KEYS = {"pred_weight": "pred", "lin_weight": "lin", "rec_weight": "rec",
              "horizon": "horizon"}
@@ -93,9 +98,6 @@ class TrainConfig:
     """Optimizer, loss, and projection settings for one training run."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 3000
     batch_size: int = 0  # trajectories per iteration; 0 = full batch
     weights: LossWeights = field(default_factory=LossWeights)
@@ -111,10 +113,6 @@ class TrainConfig:
         # for values inside the range
         if not 0.0 < self.lr < np.inf:
             raise ContractError(f"lr must be positive and finite, got {self.lr}")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ContractError("Adam betas must lie in (0, 1)")
-        if not 0.0 < self.eps < np.inf:
-            raise ContractError(f"Adam eps must be positive and finite, got {self.eps}")
         if self.epochs < 1:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 0:
@@ -164,7 +162,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         raise ContractError("parameter and gradient names differ")
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = _BETA1, _BETA2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     out: dict[str, np.ndarray] = {}
@@ -190,7 +188,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             step *= config.lr
             den = np.divide(v, bias2, out=gg)
             np.sqrt(den, out=den)
-            den += config.eps
+            den += _EPS
             step /= den
             out[name] = np.subtract(p, step, out=step)
             if not (np.all(np.isfinite(out[name])) and np.all(np.isfinite(v))):
@@ -238,9 +236,6 @@ class TrainHistory:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def min_margins(self) -> np.ndarray:
-        return np.array([r.h_post.min() for r in self.records])
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]

@@ -16,6 +16,7 @@ reference implementations the package's fast paths are checked against.
   ``adam_step_reference`` are the plain forms of the tape's and the
   optimizer's fast paths (copy-free scatters, in-place sums and updates);
   the fast paths must match them bit for bit.
+* ``min_margins`` reads a training history's worst barrier per step.
 * ``Polyhedron``, ``unit_hypercube``, ``scale_set`` and
   ``inward_pointing_check`` decide forward invariance of a vertex-listed
   polytope, which the hypercube certificate must agree with.
@@ -29,6 +30,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from koopstab import autodiff as ad
+from koopstab import trainer
 from koopstab.autodiff import DiffValue
 from koopstab.errors import ContractError, DataError, DimensionError, NumericError
 from koopstab.model import BoundModel, LossWeights, _check_horizon, _states_matrix
@@ -326,7 +328,7 @@ def adam_step_reference(params, grads, state, config):
     """``adam_step``'s update as whole-array expressions with new moments."""
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = trainer._BETA1, trainer._BETA2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     out = {}
@@ -334,8 +336,13 @@ def adam_step_reference(params, grads, state, config):
         g = grads[name]
         m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        out[name] = p - config.lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+        out[name] = p - config.lr * (m / bias1) / (np.sqrt(v / bias2) + trainer._EPS)
     return out
+
+
+def min_margins(history) -> np.ndarray:
+    """Each recorded step's worst projected row barrier."""
+    return np.array([r.h_post.min() for r in history.records])
 
 
 # ------------------------------------- polyhedral invariance

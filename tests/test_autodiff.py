@@ -544,6 +544,9 @@ def test_shape_mismatches_raise_dimension_error():
         ad.gather_sq_dist(a, [0, 1], b)
     with pytest.raises(DimensionError):
         ad.gather_sq_dist(a, [0, 1, 3], b)
+    for value in (1.0, [1.0, 2.0], np.ones((1, 1, 1))):
+        with pytest.raises(DimensionError, match="2-D"):
+            tape.leaf(value)
 
 
 def test_singular_and_ill_conditioned_inputs_refused():
@@ -573,6 +576,9 @@ def test_backward_contract_errors():
         ad.gather_sq_dist(x, [0, 1], other.leaf(np.ones((2, 2))))
     with pytest.raises(ContractError):
         tape.leaf([[np.nan, 0.0]])
+    foreign = ad.sum_sq_norm(other.leaf(np.ones((2, 2))))
+    with pytest.raises(ContractError, match="not computed on this tape"):
+        ad.Tape().backward(foreign)
     with pytest.raises(ContractError):
         ad.elementwise(x, "sigmoid")
     with pytest.raises(ContractError):

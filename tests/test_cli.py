@@ -23,6 +23,7 @@ from koopstab.data import (
     MAX_GRID_STEPS,
     Trajectory,
     synth_stable_spiral,
+    write_manifest,
     write_trajectory_csv,
 )
 from koopstab.errors import ConfigError, ParseError
@@ -63,11 +64,10 @@ class TestRunConfig:
         RunConfig()  # constructible with no arguments
 
 
-unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 weight = st.floats(0.0, allow_infinity=False)
 train_configs = st.builds(
-    TrainConfig, lr=positive, beta1=unit_open, beta2=unit_open, eps=positive,
+    TrainConfig, lr=positive,
     epochs=st.integers(1, 10**9), batch_size=st.integers(0, 10**9),
     weights=st.builds(lambda w, horizon: LossWeights(*w, horizon=horizon),
                       st.tuples(weight, weight, weight).filter(lambda w: max(w) > 0.0),
@@ -176,6 +176,26 @@ class TestTrainCommand:
         assert certify_stable(model.K).certified
         assert saved["epochs"] == "10"
 
+    @pytest.mark.parametrize("source", ["synth:handwriting", "manifest", "one csv"])
+    def test_trains_on_every_kind_of_source(self, tmp_path, capsys, source):
+        spiral = synth_stable_spiral(n_traj=3, length=30, seed=8, n_val=1)
+        if source == "manifest":
+            write_csv_dir(tmp_path / "trajs", spiral)
+            data = tmp_path / "trajs" / "manifest.txt"
+            write_manifest(data, [("t0.csv", "train"), ("t1.csv", "val"),
+                                  ("t2.csv", "train")])
+        elif source == "one csv":
+            data = tmp_path / "one.csv"
+            write_trajectory_csv(data, spiral.trajectories[0])
+        else:
+            data = source
+        # a single file holds no val trajectory: the report scores the train split
+        n_val, split = (0, "train") if source == "one csv" else (1, "val")
+        cfg = write_config(tmp_path, data=data, epochs=1, n_val=n_val)
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert f"{split} NMSE" in capsys.readouterr().out
+        assert (tmp_path / "run" / "metrics.csv").exists()
+
     def test_missing_dataset_path_exits_2_naming_field(self, tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path / "r")]) == 2
         assert "data" in capsys.readouterr().err
@@ -208,12 +228,11 @@ class TestTrainCommand:
         assert "alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, named", [
-        ("lr", "nan", "lr"), ("lr", "inf", "lr"), ("eps", "nan", "eps"),
+        ("lr", "nan", "lr"), ("lr", "inf", "lr"),
         ("margin", "1.5", "margin"), ("margin", "nan", "margin"),
         ("seed", "-1", "seed"), ("pred_weight", "nan", "pred"),
         ("lin_weight", "inf", "lin"), ("dt", "nan", "dt"), ("dt", "-0.1", "dt"),
-        ("checkpoint_every", "-1", "checkpoint_every"),
-        ("eval_split", "test", "eval_split")])
+        ("checkpoint_every", "-1", "checkpoint_every")])
     def test_bad_setting_exits_2_naming_it(self, tmp_path, capsys, key, value, named):
         cfg = write_config(tmp_path, **{key: value})
         assert main(["train", "--config", str(cfg)]) == 2
@@ -294,6 +313,14 @@ class TestTrainCommand:
             assert (tmp_path / "replay" / name).read_bytes() == \
                 (run / name).read_bytes(), name
 
+    @pytest.mark.parametrize("key, value", [("beta1", "0.9"), ("beta2", "0.999"),
+                                            ("eps", "1e-08"), ("eval_split", "val")])
+    def test_removed_setting_is_an_unknown_key(self, tmp_path, capsys, key, value):
+        # checkpoints written while these were settings hold the Adam lines
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
     def test_dictionary_key_is_unknown_to_train(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dictionary="monomials:2")
         assert main(["train", "--config", str(cfg)]) == 2
@@ -307,11 +334,12 @@ class TestTrainCommand:
             flat = Trajectory(times=np.arange(20) * 0.1,
                               states=np.full((20, 2), level))
             write_trajectory_csv(data_dir / "t2.csv", flat)  # sorts last: the val split
-            # scored while training only: the final report reads the train split
+            # refused while training scores it, before the history is written
             cfg = write_config(tmp_path, data=str(data_dir), dt=0, center="false",
-                               epochs=2, early_stop="true", eval_split="train")
+                               epochs=2, early_stop="true")
             assert main(["train", "--config", str(cfg)]) == 3
             assert "zero variance" in capsys.readouterr().err
+            assert not (tmp_path / "run" / "history.csv").exists()
 
 
 class TestVerifyCommand:
@@ -453,6 +481,33 @@ class TestEvalCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "nmse" in out.lower()
+
+    @pytest.mark.parametrize("source", ["synth:spiral", "synth:handwriting"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_regenerates_the_runs_data_from_its_seed(self, tmp_path, capsys,
+                                                     source, seed):
+        cfg = write_config(tmp_path, data=source, epochs=3, seed=seed)
+        assert main(["train", "--config", str(cfg)]) == 0
+        nmse = next(float(line.split(",")[1]) for line in
+                    (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+                    if line.startswith("nmse,"))
+        ckpt = tmp_path / "run" / "model.ckpt"
+        if seed == 0:
+            # a checkpoint without a config seed line was trained with seed 0
+            ckpt.write_text("".join(line for line in ckpt.read_text().splitlines(True)
+                                    if not line.startswith("config ")))
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), source, "--n-val", "1"]) == 0
+        assert f"nmse            {nmse:.6g}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["x", "-1"])
+    def test_bad_seed_line_exits_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        ckpt.write_text(ckpt.read_text().replace("config seed 3", f"config seed {value}"))
+        assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_non_integer_layer_count_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, epochs=1)

@@ -360,16 +360,17 @@ class TestSlidingWindowLoss:
                            bound_slow.leaves[name].grad) <= 1e-9
 
     def test_criterion_09_shape_records_one_node_per_layer(self):
-        """Each MLP layer is one node: 4 encoder and 11 x 4 decoder layers of 109.
+        """Each MLP layer is one node: 4 encoder and 11 x 4 decoder layers of 107.
 
-        Each step's lin and pred terms are one ``gather_sq_dist`` node each.
+        Each step's lin and pred terms, and the rec term, are one
+        ``gather_sq_dist`` node each.
         """
         dataset = synth_handwriting_like(seed=7)
         m = KoopmanModel.init(n=dataset.dim, d=20, hidden=(50, 50, 50), seed=7)
         tape = Tape()
         sliding_window_loss(BoundModel(tape, m), [t.states for t in dataset.train],
                             LossWeights(horizon=10))
-        assert len(tape) == 109
+        assert len(tape) == 107
 
     def test_wide_step_tape_holds_what_tape_bytes_counts(self):
         """d=200, two trajectories, H=10: 9.7 MB live while every term kept
@@ -445,6 +446,18 @@ class TestCheckpoint:
         np.testing.assert_array_equal(pre2.offset, pre.offset)
         np.testing.assert_array_equal(pre2.scale, pre.scale)
         assert cfg2 == cfg
+
+    def test_blank_lines_between_entries_are_skipped(self, tmp_path):
+        m = tiny_model(seed=11)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m, Preprocessing(dt=0.1), config={"seed": "3"})
+        spaced = [("\n" + line) if line.split()[0] in ("matrix", "config") else line
+                  for line in path.read_text().splitlines()]
+        path.write_text("\n".join(spaced) + "\n\n  \n")
+        loaded, pre, cfg = load_checkpoint(path)
+        for name, arr in m.get_params().items():
+            np.testing.assert_array_equal(loaded.get_params()[name], arr)
+        assert pre.dt == 0.1 and cfg == {"seed": "3"}
 
     def test_save_twice_identical_bytes(self, tmp_path):
         m = tiny_model(seed=12)

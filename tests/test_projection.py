@@ -66,6 +66,10 @@ class TestSymmetricRow:
         with pytest.raises(DimensionError):
             project_row(np.array([1.0, 0.0]), 2, 0.0, "symmetric")
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractError, match="unknown projection mode 'spectral'"):
+            project_row(np.array([1.0, 0.0]), 0, 0.0, "spectral")
+
 
 class TestAsymmetricRow:
     def test_feasible_point_unchanged(self):

@@ -18,7 +18,7 @@ from koopstab.trainer import (
     train,
 )
 
-from helpers import adam_step_reference, same_bits
+from helpers import adam_step_reference, min_margins, same_bits
 
 
 def small_config(**over):
@@ -85,11 +85,11 @@ class TestTrainConfig:
         assert c.weights == LossWeights(1.0, 0.1, 1.0, horizon=10)
 
     @pytest.mark.parametrize("bad", [
-        dict(lr=0.0), dict(beta1=1.0), dict(beta2=0.0), dict(eps=0.0),
-        dict(epochs=0), dict(batch_size=-1), dict(alpha=0.0), dict(alpha=1.5),
-        dict(mode="spectral"), dict(margin=-0.1), dict(patience=0),
-        dict(lr=float("nan")), dict(lr=float("inf")), dict(eps=float("nan")),
-        dict(eps=float("inf")), dict(margin=1.0), dict(margin=1.5),
+        dict(lr=0.0), dict(epochs=0), dict(batch_size=-1), dict(alpha=0.0),
+        dict(alpha=1.5), dict(mode="spectral"), dict(margin=-0.1), dict(patience=0),
+        dict(lr=float("nan")), dict(lr=float("inf")), dict(margin=1.0), dict(margin=1.5),
+        dict(alpha=float("nan")), dict(alpha=float("inf")), dict(alpha=float("-inf")),
+        dict(margin=float("inf")), dict(margin=float("-inf")),
         dict(margin=float("nan")), dict(seed=-1)])
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(ContractError):
@@ -178,6 +178,13 @@ class TestAdamStep:
             adam_step(params, {"q": np.zeros(2)}, AdamState.init(params),
                       TrainConfig())
 
+    def test_gradient_shape_mismatch_rejected(self):
+        # a (1, 1) gradient would broadcast into the moments without the check
+        params = {"w": np.zeros((2, 2))}
+        with pytest.raises(ContractError, match="gradient shape"):
+            adam_step(params, {"w": np.ones((1, 1))}, AdamState.init(params),
+                      TrainConfig())
+
 
 class TestTrainHistory:
     def _record(self, h_pre, h_post, it=0):
@@ -218,7 +225,7 @@ class TestTrainLoop:
         totals = [r.total for r in history.records]
         assert totals[-1] < totals[0]
         # certified from step zero means certified at tolerance 0 throughout
-        assert np.all(history.min_margins() >= 0.0)
+        assert np.all(min_margins(history) >= 0.0)
         assert certify_stable(model.K, margin_tol=0.0).certified
 
     def test_bitwise_deterministic_under_seed(self):
@@ -244,7 +251,7 @@ class TestTrainLoop:
         h0 = barrier_values(model.K).margin
         assert h0 < 0.0
         history = train(model, dataset, config)
-        margins = history.min_margins()
+        margins = min_margins(history)
         for prev, cur in zip(margins[:-1], margins[1:]):
             if prev < 0.0:
                 assert cur >= prev - 1e-12  # never regresses while infeasible
