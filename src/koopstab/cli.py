@@ -28,6 +28,7 @@ import numpy as np
 
 from .data import (
     Dataset,
+    Preprocessing,
     assign_split,
     center_to_equilibrium,
     load_manifest,
@@ -52,7 +53,7 @@ from .errors import (
 from .model import KoopmanModel, LossWeights, load_checkpoint
 from .projection import displacement, pgd_project
 from .stability import MODES, barrier_values, certify_stable
-from .trainer import LOSS_KEYS, TrainConfig, evaluate, train
+from .trainer import LOSS_KEYS, TrainConfig, evaluate, setting_text, train
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,8 @@ class RunConfig:
     ``normalize`` control the equilibrium-shift / max-abs scaling steps
     recorded in the checkpoint's preprocessing block. ``train`` holds the
     optimizer, loss and projection settings and the seed; a config file sets
-    them by the keys ``TrainConfig.as_dict`` writes.
+    them by the keys ``TrainConfig.as_dict`` writes. ``as_dict`` is the
+    record of the run that a checkpoint keeps and ``eval`` reads back.
     """
 
     data: str = ""
@@ -91,6 +93,17 @@ class RunConfig:
             raise ConfigError(f"dt must be finite and >= 0, got {self.dt}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+
+    def as_dict(self) -> dict[str, str]:
+        """The run's settings as a checkpoint records them, by config-file key.
+
+        Every field that shapes the data or the model comes first, then
+        ``train``'s settings. ``out`` and ``checkpoint_every`` only say where
+        and how often a run writes, so they are left out.
+        """
+        values = {f.name: setting_text(getattr(self, f.name)) for f in fields(self)
+                  if f.name not in ("out", "checkpoint_every", "train")}
+        return {**values, **self.train.as_dict()}
 
 
 def _declared(cls) -> dict:
@@ -186,12 +199,18 @@ def write_matrix(path, matrix: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_dataset(config: RunConfig) -> Dataset:
-    """Resolve the ``data`` field and run the configured preprocessing."""
+def _load_dataset(config: RunConfig,
+                  preprocessing: Preprocessing | None = None) -> Dataset:
+    """Resolve the ``data`` field and preprocess it.
+
+    Without ``preprocessing`` the configured steps fit a new transform. A
+    checkpoint's ``preprocessing`` is applied as it stands, on its own
+    ``dt`` grid, so a model scores data in the coordinates it trained in.
+    """
     source = config.data
     if not source:
-        raise ConfigError(
-            "missing dataset path: set 'data' in the config file or pass --data")
+        raise ConfigError("missing dataset path: set 'data' in the config file "
+                          "or give the data on the command line")
     if source == "synth:spiral":
         dataset = synth_stable_spiral(seed=config.train.seed, n_val=config.n_val)
     elif source == "synth:handwriting":
@@ -206,8 +225,12 @@ def _load_dataset(config: RunConfig) -> Dataset:
                               split=assign_split(len(trajs), config.n_val))
         else:
             dataset = load_manifest(path)
-        if config.dt > 0:
-            dataset = resample_dataset(dataset, config.dt)
+        dt = config.dt if preprocessing is None else preprocessing.dt or 0.0
+        if dt > 0:
+            dataset = resample_dataset(dataset, dt)
+    if preprocessing is not None:
+        return dataclasses.replace(dataset.map_states(preprocessing.apply),
+                                   preprocessing=preprocessing)
     if config.center:
         dataset = center_to_equilibrium(dataset)
     if config.normalize:
@@ -215,11 +238,19 @@ def _load_dataset(config: RunConfig) -> Dataset:
     return dataset
 
 
+def _flags(args: argparse.Namespace) -> dict:
+    """The given arguments that are named after the config key they set."""
+    return {key: value for key, value in vars(args).items()
+            if key in _DEFAULTS and value is not None}
+
+
+def _report_split(dataset: Dataset) -> str:
+    """The split a run reports: ``val`` when it has trajectories."""
+    return "val" if dataset.val else "train"
+
+
 def cmd_train(args: argparse.Namespace) -> int:
-    # every train flag but --config is named after the config key it overrides
-    config = load_run_config(args.config, {
-        key: value for key, value in vars(args).items()
-        if key in _DEFAULTS and value is not None})
+    config = load_run_config(args.config, _flags(args))
     dataset = _load_dataset(config)
     model = KoopmanModel.init(n=dataset.dim, d=config.lift_dim,
                               hidden=config.hidden,
@@ -230,10 +261,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     history = train(model, dataset, config.train,
                     checkpoint_path=out / "model.ckpt",
-                    checkpoint_every=config.checkpoint_every)
+                    checkpoint_every=config.checkpoint_every,
+                    checkpoint_config=config.as_dict())
     history.save_csv(out / "history.csv")
 
-    split = "val" if dataset.val else "train"
+    split = _report_split(dataset)
     report = evaluate(model, dataset, split=split)
     report.save_csv(out / "metrics.csv")
 
@@ -287,16 +319,12 @@ def cmd_edmd(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    model, preprocessing, saved = load_checkpoint(args.checkpoint)
-    # a generator rebuilds the data the run trained on from the run's seed
-    seed = _coerce("seed", saved.get("seed", "0"))
-    config = RunConfig(data=args.data, center=False, normalize=False,
-                       dt=preprocessing.dt or 0.0, n_val=args.n_val,
-                       train=TrainConfig(seed=seed))
-    raw = _load_dataset(config)
-    dataset = dataclasses.replace(raw.map_states(preprocessing.apply),
-                                  preprocessing=preprocessing)
-    report = evaluate(model, dataset, split=args.split)
+    model, preprocessing, recorded = load_checkpoint(args.checkpoint)
+    # the run's own settings rebuild its data and split; a data argument
+    # names other trajectories
+    config = load_run_config(overrides={**recorded, **_flags(args)})
+    dataset = _load_dataset(config, preprocessing)
+    report = evaluate(model, dataset, split=args.split or _report_split(dataset))
     print(report.text())
     return 0
 
@@ -362,11 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", formatter_class=fmt,
                        help="score a checkpoint on a dataset")
     p.add_argument("checkpoint", help="checkpoint file from a training run")
-    p.add_argument("data", help="trajectory CSV, directory, manifest, or synth:<name>")
-    p.add_argument("--split", choices=("train", "val"), default="val",
-                   help="which trajectories to score")
-    p.add_argument("--n-val", type=int, default=2, dest="n_val",
-                   help="validation count when the source has no manifest")
+    p.add_argument("data", nargs="?", default=None,
+                   help="trajectory CSV, directory, manifest, or synth:<name>; "
+                        "None: the checkpoint's config data line")
+    p.add_argument("--split", choices=("train", "val"), default=None,
+                   help="which trajectories to score; None: val when the "
+                        "data has a val split, else train")
     p.set_defaults(func=cmd_eval)
     return parser
 

@@ -16,8 +16,10 @@ and config must produce byte-identical logs, and timing is kept in memory
 only (``IterationRecord.wall_time``).
 
 Each setting has one name, its config-file key (a ``TrainConfig`` field or a
-``LOSS_KEYS`` key), under which the checkpoint records it, so a checkpoint's
-``config`` lines are a config file that replays the run.
+``LOSS_KEYS`` key), under which the checkpoint records it. The CLI records
+the settings that shape the data and the model next to these, so a
+checkpoint's ``config`` lines are a config file that replays the run, data
+included.
 """
 
 from __future__ import annotations
@@ -129,12 +131,25 @@ class TrainConfig:
             raise ContractError("patience must be >= 1")
 
     def as_dict(self) -> dict[str, str]:
-        """Every setting by its config-file key; ``str`` spells a float exactly."""
+        """Every setting by its config-file key, spelled by ``setting_text``."""
         values = {f.name: getattr(self, f.name) for f in fields(self)
                   if f.name != "weights"}
         values.update({k: getattr(self.weights, name) for k, name in LOSS_KEYS.items()})
-        return {key: str(value).lower() if isinstance(value, bool) else str(value)
-                for key, value in values.items()}
+        return {key: setting_text(value) for key, value in values.items()}
+
+
+def setting_text(value) -> str:
+    """A setting as a config file spells it, which reads back unchanged.
+
+    ``str`` spells a number exactly, a bool is ``true``/``false`` and a
+    tuple is its items separated by spaces, or ``,`` when it is empty (a
+    blank value would leave a checkpoint's ``config`` line without one).
+    """
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return " ".join(map(str, value)) or ","
+    return str(value)
 
 
 @dataclass
@@ -274,14 +289,19 @@ def _val_nmse(model: KoopmanModel, dataset: Dataset) -> float:
 
 
 def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
-          checkpoint_path=None, checkpoint_every: int = 0) -> TrainHistory:
+          checkpoint_path=None, checkpoint_every: int = 0,
+          checkpoint_config: dict[str, str] | None = None) -> TrainHistory:
     """Run the full loop, mutating ``model`` in place; returns the history.
 
     With ``checkpoint_path`` set, the model is saved every
     ``checkpoint_every`` epochs (and at the end), so a numeric abort leaves
-    the most recent checkpoint on disk. Training first calls ``keep_heap``,
+    the most recent checkpoint on disk. The checkpoint's ``config`` lines
+    hold ``checkpoint_config``, by default ``config.as_dict()``; the CLI
+    passes the whole run's settings. Training first calls ``keep_heap``,
     which tunes the allocator of the whole process.
     """
+    if checkpoint_config is None:
+        checkpoint_config = config.as_dict()
     keep_heap()
     train_trajs = [t.states for t in dataset.train]
     if not train_trajs:
@@ -348,7 +368,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
         if checkpoint_path is not None and checkpoint_every > 0 \
                 and (epoch + 1) % checkpoint_every == 0:
             save_checkpoint(checkpoint_path, model, dataset.preprocessing,
-                            config.as_dict())
+                            checkpoint_config)
         if score_val:
             current = history.records[-1].val_nmse
             if current < best_val - 1e-12:
@@ -359,7 +379,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
 
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model, dataset.preprocessing,
-                        config.as_dict())
+                        checkpoint_config)
     return history
 
 

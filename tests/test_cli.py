@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from koopstab.data import (
 from koopstab.errors import ConfigError, ParseError
 from koopstab.model import LossWeights, load_checkpoint
 from koopstab.stability import MODES, certify_stable
-from koopstab.trainer import TrainConfig
+from koopstab.trainer import TrainConfig, evaluate
 
 
 class TestRunConfig:
@@ -81,6 +81,28 @@ train_configs = st.builds(
 @given(config=train_configs)
 def test_settings_read_back_under_the_keys_they_are_written_with(config):
     assert load_run_config(overrides=config.as_dict()).train == config
+
+
+run_configs = st.builds(
+    RunConfig, data=st.sampled_from(["synth:spiral", "runs/a b/manifest.txt"]),
+    lift_dim=st.integers(1, 10**9),
+    hidden=st.lists(st.integers(1, 10**9), max_size=4).map(tuple),
+    activation=st.sampled_from(["tanh", "relu", "identity"]),
+    k_init=st.sampled_from(["certified", "infeasible"]),
+    dt=st.floats(0.0, allow_infinity=False), center=st.booleans(),
+    normalize=st.booleans(), n_val=st.integers(0, 10**9), train=train_configs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=run_configs)
+def test_a_checkpoints_record_reads_back_as_the_run(config):
+    # every recorded value is non-blank, or its checkpoint line would not load
+    record = config.as_dict()
+    assert all(value.strip() for value in record.values())
+    # where and how often a run writes are not part of the record
+    assert replace(load_run_config(overrides=record), out=config.out,
+                   checkpoint_every=config.checkpoint_every) == config
+    assert "out" not in record and "checkpoint_every" not in record
 
 
 def test_unknown_override_key_rejected():
@@ -297,18 +319,19 @@ class TestTrainCommand:
 
     def test_checkpoint_config_lines_replay_the_run(self, tmp_path):
         cfg = write_config(tmp_path, epochs=3, lr="0.0123", batch_size=2,
-                           pred_weight=0.5, early_stop="true", mode="asymmetric")
+                           pred_weight=0.5, early_stop="true", mode="asymmetric",
+                           lift_dim=5, hidden="6 4", k_init="infeasible",
+                           activation="relu", n_val=2)
         assert main(["train", "--config", str(cfg)]) == 0
         run = tmp_path / "run"
         recorded = [line.split(" ", 2)[1:] for line in
                     (run / "model.ckpt").read_text().splitlines()
                     if line.startswith("config ")]
-        # the data, model-shape and output keys are the run's, not training's
+        # the data and model-shape keys are recorded too; only out is not
         replay = tmp_path / "replay.cfg"
-        replay.write_text("".join(f"{key} = {value}\n" for key, value in recorded)
-                          + "data = synth:spiral\nlift_dim = 4\nhidden = 6\n"
-                          + f"n_val = 1\nout = {tmp_path / 'replay'}\n")
-        assert main(["train", "--config", str(replay)]) == 0
+        replay.write_text("".join(f"{key} = {value}\n" for key, value in recorded))
+        assert main(["train", "--config", str(replay),
+                     "--out", str(tmp_path / "replay")]) == 0
         for name in ("history.csv", "model.ckpt"):
             assert (tmp_path / "replay" / name).read_bytes() == \
                 (run / name).read_bytes(), name
@@ -340,6 +363,49 @@ class TestTrainCommand:
             assert main(["train", "--config", str(cfg)]) == 3
             assert "zero variance" in capsys.readouterr().err
             assert not (tmp_path / "run" / "history.csv").exists()
+
+
+class TestInputFaults:
+    """Each malformed input exits 2 with a message that names where it is."""
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data = synth:spiral\nepochs 3\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
+
+    def test_trajectory_with_one_data_row(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("t,x1\n0.0,1.0\n")
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "r")]) == 2
+        assert f"{data}: needs at least 2 data rows, got 1" in capsys.readouterr().err
+
+    def test_manifest_line_that_is_not_path_split(self, tmp_path, capsys):
+        write_csv_dir(tmp_path / "trajs", synth_stable_spiral(n_traj=2, n_val=0))
+        manifest = tmp_path / "trajs" / "manifest.txt"
+        manifest.write_text("t0.csv,train\nt1.csv\n")
+        assert main(["train", "--data", str(manifest),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert f"{manifest}:2: expected 'path,split'" in capsys.readouterr().err
+
+    def test_manifest_that_lists_nothing(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("# no trajectories yet\n")
+        assert main(["train", "--data", str(manifest),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert f"{manifest}: manifest lists no trajectories" in capsys.readouterr().err
+
+    def test_checkpoint_config_line_without_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        lines = ckpt.read_text().splitlines()
+        row = lines.index("config seed 3")
+        lines[row] = "config seed"
+        ckpt.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(ckpt)]) == 2
+        assert f"{ckpt}:{row + 1}: config line needs key and value" in \
+            capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -472,33 +538,108 @@ class TestEdmdCommand:
         assert "monomial degree" in capsys.readouterr().err
 
 
+def drop_config_lines(path, keys):
+    """Delete the checkpoint's ``config`` lines of ``keys``."""
+    dropped = {("config", key) for key in keys}
+    path.write_text("".join(line for line in path.read_text().splitlines(True)
+                            if tuple(line.split()[:2]) not in dropped))
+
+
+def scored(ckpt, seed, n_val, split="val"):
+    """The report of the checkpoint on a spiral generated from ``seed`` and
+    split by ``n_val``, in the checkpoint's coordinates."""
+    model, pre, _ = load_checkpoint(ckpt)
+    raw = synth_stable_spiral(seed=seed, n_val=n_val)
+    dataset = replace(raw.map_states(pre.apply), preprocessing=pre)
+    return evaluate(model, dataset, split=split).text() + "\n"
+
+
 class TestEvalCommand:
+    # the config lines that a checkpoint written before it recorded the
+    # data and model settings lacks
+    RUN_KEYS = ("data", "lift_dim", "hidden", "activation", "k_init", "dt",
+                "center", "normalize", "n_val")
+
     def test_scores_checkpoint_on_dataset(self, tmp_path, capsys):
         cfg = write_config(tmp_path, epochs=5)
         assert main(["train", "--config", str(cfg)]) == 0
         ckpt = tmp_path / "run" / "model.ckpt"
-        code = main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"])
+        code = main(["eval", str(ckpt), "synth:spiral"])
         assert code == 0
         out = capsys.readouterr().out
         assert "nmse" in out.lower()
+
+    @staticmethod
+    def reports_metrics_nmse(tmp_path, capsys, source, seed, n_val):
+        """Train, then ``eval`` the checkpoint alone; it prints the NMSE of
+        ``metrics.csv``."""
+        cfg = write_config(tmp_path, data=source, epochs=3, seed=seed, n_val=n_val)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        if seed == 0:
+            # a checkpoint without a config seed line was trained with seed 0
+            drop_config_lines(ckpt, {"seed"})
+        capsys.readouterr()
+        assert main(["eval", str(ckpt)]) == 0
+        nmse = next(float(line.split(",")[1]) for line in
+                    (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+                    if line.startswith("nmse,"))
+        assert f"nmse            {nmse:.6g}\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("source", ["synth:spiral", "synth:handwriting"])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_regenerates_the_runs_data_from_its_seed(self, tmp_path, capsys,
                                                      source, seed):
-        cfg = write_config(tmp_path, data=source, epochs=3, seed=seed)
+        self.reports_metrics_nmse(tmp_path, capsys, source, seed, n_val=1)
+
+    @pytest.mark.parametrize("source", ["synth:spiral", "synth:handwriting"])
+    @pytest.mark.parametrize("n_val", [0, 1, 3])
+    def test_splits_the_data_by_the_runs_n_val(self, tmp_path, capsys, source, n_val):
+        # with n_val = 0 both commands score the train split
+        self.reports_metrics_nmse(tmp_path, capsys, source, seed=3, n_val=n_val)
+
+    @pytest.mark.parametrize("seed_line", [True, False])
+    def test_older_checkpoint_scores_with_default_settings(self, tmp_path, capsys,
+                                                           seed_line):
+        cfg = write_config(tmp_path, epochs=3, seed=3, n_val=1)
         assert main(["train", "--config", str(cfg)]) == 0
-        nmse = next(float(line.split(",")[1]) for line in
-                    (tmp_path / "run" / "metrics.csv").read_text().splitlines()
-                    if line.startswith("nmse,"))
         ckpt = tmp_path / "run" / "model.ckpt"
-        if seed == 0:
-            # a checkpoint without a config seed line was trained with seed 0
-            ckpt.write_text("".join(line for line in ckpt.read_text().splitlines(True)
-                                    if not line.startswith("config ")))
+        drop_config_lines(ckpt, {*self.RUN_KEYS, *(() if seed_line else ("seed",))})
         capsys.readouterr()
-        assert main(["eval", str(ckpt), source, "--n-val", "1"]) == 0
-        assert f"nmse            {nmse:.6g}\n" in capsys.readouterr().out
+        assert main(["eval", str(ckpt), "synth:spiral"]) == 0
+        # n_val 2, and seed 0 without a seed line
+        assert capsys.readouterr().out == scored(ckpt, 3 if seed_line else 0, 2)
+
+    def test_older_checkpoint_needs_the_data_argument(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        drop_config_lines(ckpt, set(self.RUN_KEYS))
+        capsys.readouterr()
+        assert main(["eval", str(ckpt)]) == 2
+        assert "'data'" in capsys.readouterr().err
+
+    def test_data_argument_replaces_the_recorded_data(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        assert main(["eval", str(ckpt), str(tmp_path / "nope")]) == 2
+        assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_split_flag_beats_the_default(self, tmp_path, capsys, split):
+        cfg = write_config(tmp_path, epochs=1, n_val=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), "--split", split]) == 0
+        assert capsys.readouterr().out == scored(ckpt, 3, 1, split)
+
+    def test_n_val_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(tmp_path / "model.ckpt"), "--n-val", "1"])
+        assert exc.value.code == 2
+        assert "--n-val" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["x", "-1"])
     def test_bad_seed_line_exits_2(self, tmp_path, capsys, value):
@@ -506,7 +647,7 @@ class TestEvalCommand:
         assert main(["train", "--config", str(cfg)]) == 0
         ckpt = tmp_path / "run" / "model.ckpt"
         ckpt.write_text(ckpt.read_text().replace("config seed 3", f"config seed {value}"))
-        assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
+        assert main(["eval", str(ckpt), "synth:spiral"]) == 2
         assert "seed" in capsys.readouterr().err
 
     def test_non_integer_layer_count_exits_2(self, tmp_path, capsys):
@@ -514,7 +655,7 @@ class TestEvalCommand:
         assert main(["train", "--config", str(cfg)]) == 0
         ckpt = tmp_path / "run" / "model.ckpt"
         ckpt.write_text(ckpt.read_text().replace("encoder-layers 2", "encoder-layers x"))
-        assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
+        assert main(["eval", str(ckpt), "synth:spiral"]) == 2
         assert "encoder-layers" in capsys.readouterr().err
 
     def test_missing_layer_count_exits_2_naming_key(self, tmp_path, capsys):
@@ -522,7 +663,7 @@ class TestEvalCommand:
         assert main(["train", "--config", str(cfg)]) == 0
         ckpt = tmp_path / "run" / "model.ckpt"
         ckpt.write_text(ckpt.read_text().replace("encoder-layers 2\n", ""))
-        assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
+        assert main(["eval", str(ckpt), "synth:spiral"]) == 2
         err = capsys.readouterr().err
         assert f"{ckpt}: missing key encoder-layers" in err
         assert ":0:" not in err
@@ -537,7 +678,7 @@ class TestEvalCommand:
                    if line.startswith(f"matrix {name} ")) + 1
         lines[row] = " ".join([bad] + lines[row].split()[1:])
         ckpt.write_text("\n".join(lines) + "\n")
-        assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
+        assert main(["eval", str(ckpt), "synth:spiral"]) == 2
         err = capsys.readouterr().err
         assert f"matrix {name} row 0" in err and f"model.ckpt:{row + 1}:" in err
 
@@ -552,7 +693,7 @@ class TestEvalCommand:
         assert main(["train", "--config", str(cfg)]) == 0
         ckpt = tmp_path / "run" / "model.ckpt"
         ckpt.write_text(ckpt.read_text() + extra)
-        assert main(["eval", str(ckpt), "synth:spiral", "--n-val", "1"]) == 2
+        assert main(["eval", str(ckpt), "synth:spiral"]) == 2
         assert message in capsys.readouterr().err
 
     def test_tiny_preprocessing_dt_exits_2(self, tmp_path, capsys):
@@ -561,7 +702,7 @@ class TestEvalCommand:
         ckpt = tmp_path / "run" / "model.ckpt"
         ckpt.write_text(ckpt.read_text().replace("preproc-dt 0.1", "preproc-dt 1e-300"))
         data_dir = write_csv_dir(tmp_path / "trajs", synth_stable_spiral(n_traj=3))
-        assert main(["eval", str(ckpt), str(data_dir), "--n-val", "1"]) == 2
+        assert main(["eval", str(ckpt), str(data_dir)]) == 2
         assert f"more than {MAX_GRID_STEPS}" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):

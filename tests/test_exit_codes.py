@@ -115,7 +115,7 @@ def test_eval_exit_codes_on_corrupted_checkpoints(checkpoint_text, data):
             lines.insert(k, lines[k])
         text = "\n".join(lines) + "\n"
     code = run(lambda tmp: ["eval", str(write(tmp / "model.ckpt", text)),
-                            "synth:spiral", "--n-val", "1"])
+                            "synth:spiral"])
     assert code in {0, 2, 3}
 
 
