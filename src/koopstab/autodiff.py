@@ -16,11 +16,6 @@ sweep releases each node once its adjoint is applied, so after
 reference counting frees a step's intermediates as soon as the caller drops
 them, without waiting for the cyclic garbage collector.
 
-:func:`checked_inverse` hands its last result to the next request for the
-same bytes. Training scores validation with the inverse of the updated S,
-and the next step's :func:`matinv` takes that inverse instead of inverting
-the same matrix again, so a step inverts S once.
-
 A whole dense layer, ``act(w @ x + b)``, records as one operation,
 :func:`dense`. Its forward allocates one array, the product, and adds the
 bias and applies the activation to it in place; its adjoint derives the
@@ -178,32 +173,15 @@ def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
     return tape._record(out, (a, b), backward_fn)
 
 
-# the last inverse checked_inverse computed: (copy of its input, inverse)
-_handoff: tuple[np.ndarray, np.ndarray] | None = None
-
-
 def checked_inverse(a: np.ndarray) -> np.ndarray:
     """Read-only inverse of a plain square array via LAPACK LU, with a condition guard.
 
     Raises :class:`SingularMatrixError` (carrying the infinity-norm
     condition estimate) when ``a`` is singular, holds NaN or Inf, or its
     estimated condition number exceeds ``COND_CAP``.
-
-    The last inverse is kept for one more request. A float64 input with
-    the same shape and the same bytes as the last one inverted (so -0.0
-    differs from 0.0, and a matrix changed in place differs from itself)
-    gets that inverse back without a second factorisation, and the kept
-    copy is dropped. Any other input is inverted, and its inverse is kept
-    in place of the last one unless the guard raises.
     """
-    global _handoff
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix is {a.shape}, not square")
-    kept, _handoff = _handoff, None
-    if (kept is not None and a.dtype == np.float64 and kept[0].shape == a.shape
-            and np.array_equal(kept[0].view(np.uint64), a.view(np.uint64))):
-        return kept[1]
-    del kept  # free the kept pair before the new inverse is allocated
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
@@ -213,8 +191,6 @@ def checked_inverse(a: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(
             f"condition estimate {cond:.3e} exceeds cap {COND_CAP:.3e}", cond)
     inv.flags.writeable = False
-    if a.dtype == np.float64:
-        _handoff = (a.copy(), inv)
     return inv
 
 

@@ -158,7 +158,10 @@ def _read_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
-        values[key] = _coerce(key, value)
+        try:
+            values[key] = _coerce(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -322,7 +325,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model, preprocessing, recorded = load_checkpoint(args.checkpoint)
     # the run's own settings rebuild its data and split; a data argument
     # names other trajectories
-    config = load_run_config(overrides={**recorded, **_flags(args)})
+    try:
+        config = load_run_config(overrides={**recorded, **_flags(args)})
+    except (ConfigError, ContractError) as exc:
+        raise ParseError(f"config: {exc}", path=args.checkpoint) from None
     dataset = _load_dataset(config, preprocessing)
     report = evaluate(model, dataset, split=args.split or _report_split(dataset))
     print(report.text())

@@ -178,15 +178,18 @@ class KoopmanModel:
             z = np.matmul(Keff, z, out=out[k])
         return out
 
-    def predict_states(self, x0, n_steps):
+    def predict_states(self, x0, n_steps, Keff: np.ndarray | None = None):
         """Decoded predictions for steps 1..n_steps from the state x0.
 
         ``x0`` may also be a (B, n) stack of initial states, with
         ``n_steps`` a sequence of B step counts; the result is then a list
         of B prediction arrays, and S^-1 K S is formed once for all of them.
+        A caller that already holds this model's S^-1 K S passes it as
+        ``Keff``, and it is not formed again.
         """
         states = np.asarray(x0, dtype=np.float64)
-        Keff = self.effective_matrix()
+        if Keff is None:
+            Keff = self.effective_matrix()
 
         def predict(x, count):
             lifted = self._rollout(Keff, self.encode(x), count)
@@ -313,8 +316,8 @@ def tape_bytes(model: KoopmanModel, n_samples: int, n_windows: int,
     The parameter leaves. Per sample: the data, every encoder layer and, for
     the rec term, every decoder layer. Per window: the H + 1 lifted
     iterates, the rec term's H + 1 gathered data targets and, for the pred
-    term, every decoder layer at each of the H steps. Per d x d: S^-1, the
-    copy of S kept with it, S^-1 K and S^-1 K S.
+    term, every decoder layer at each of the H steps. Per d x d: S^-1,
+    S^-1 K and S^-1 K S.
     """
     n, d = model.n, model.d
     enc = sum(model.encoder.layer_sizes[1:])
@@ -322,7 +325,7 @@ def tape_bytes(model: KoopmanModel, n_samples: int, n_windows: int,
     floats = (sum(p.size for p in model.get_params().values())
               + n_samples * (n + enc + dec)
               + n_windows * ((horizon + 1) * (d + n) + horizon * dec)
-              + 4 * d * d)
+              + 3 * d * d)
     return 8 * floats
 
 

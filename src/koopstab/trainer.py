@@ -2,9 +2,13 @@
 
 Each iteration:
   1. snapshots K (the projection thresholds come from this pre-update value),
-  2. evaluates the sliding-window loss on the batch and backpropagates,
+  2. evaluates the sliding-window loss on the batch and backpropagates, on
+     the tape already bound to the current parameters,
   3. applies a bias-corrected Adam update to encoder, decoder, K, and S,
-  4. pulls every row of the updated K back to its relaxed barrier set.
+  4. pulls every row of the updated K back to its relaxed barrier set,
+  5. binds the next iteration's tape to the updated parameters; validation
+     scoring (``early_stop``) reads S^-1 K S from that tape, and the next
+     loss reuses the same node, so each parameter state is inverted once.
 
 Because the thresholds are min(0, alpha * h_i) of the pre-update matrix, a
 certified K stays certified after every iteration, and an infeasible K's
@@ -282,9 +286,9 @@ def _initial_states(trajs) -> tuple[np.ndarray, list[int]]:
             [t.n_samples - 1 for t in trajs])
 
 
-def _val_nmse(model: KoopmanModel, dataset: Dataset) -> float:
+def _val_nmse(model: KoopmanModel, dataset: Dataset, Keff: np.ndarray) -> float:
     val = dataset.val
-    return nmse(model.predict_states(*_initial_states(val)),
+    return nmse(model.predict_states(*_initial_states(val), Keff=Keff),
                 [t.states[1:] for t in val])
 
 
@@ -318,6 +322,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
     best_epoch = 0
     iteration = 0
     h_post = None
+    bound = BoundModel(Tape(), model)
 
     for epoch in range(config.epochs):
         for batch in _batches(train_trajs, config.batch_size, rng):
@@ -327,8 +332,6 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
             # that step measured
             h_pre = barrier_values(K_pre).rows(config.mode) if h_post is None else h_post
 
-            tape = Tape()
-            bound = BoundModel(tape, model)
             # an overflow leaves Inf or NaN behind, which the loss check here
             # and adam_step's gradient check name
             with np.errstate(over="ignore", invalid="ignore"):
@@ -337,7 +340,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
                 total = float(loss.value[0, 0])
                 if not np.isfinite(total):
                     raise NumericError(f"loss became non-finite at epoch {epoch}")
-                tape.backward(loss)
+                bound.tape.backward(loss)
 
             new_params = adam_step(model.get_params(), bound.gradients(),
                                    adam, config)
@@ -349,7 +352,11 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
             model.set_params(new_params)
             h_post = barrier_values(K_proj).rows(config.mode)
 
-            val_nmse = _val_nmse(model, dataset) if score_val else float("nan")
+            # the next step's tape; validation scores with its S^-1 K S,
+            # which that step's loss then reuses
+            bound = BoundModel(Tape(), model)
+            val_nmse = (_val_nmse(model, dataset, bound.effective().value)
+                        if score_val else float("nan"))
             history.append(IterationRecord(
                 iteration=iteration,
                 epoch=epoch,
@@ -393,10 +400,11 @@ def evaluate(model: KoopmanModel, dataset: Dataset, split: str = "val") -> Metri
     trajs = dataset.subset(split)
     if not trajs:
         raise DataError(f"split {split!r} is empty")
-    preds = model.predict_states(*_initial_states(trajs))
+    Keff = model.effective_matrix()
+    preds = model.predict_states(*_initial_states(trajs), Keff=Keff)
     preds = [dataset.preprocessing.invert(p) for p in preds]
     truths = [dataset.preprocessing.invert(t.states[1:]) for t in trajs]
     return build_report(
         preds, truths,
-        spectral_radius=spectral_radius(model.effective_matrix()),
+        spectral_radius=spectral_radius(Keff),
         barrier_margin=barrier_values(model.K).margin)

@@ -6,7 +6,10 @@ run shows the scoreboard inline. Criteria with runtime budgets measure and
 report their own elapsed time.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -343,8 +346,26 @@ def _handwriting_run(tmp_dir, tag):
 
 @pytest.fixture(scope="session")
 def handwriting_runs(tmp_path_factory):
+    """Both runs, trained at once in two new processes at one BLAS thread each.
+
+    Each run still times only its own training, and criterion 10 compares
+    the histories of two separate processes. A new interpreter reads the
+    thread count from its environment when it loads numpy; two BLAS threads
+    per process would oversubscribe a 2-CPU machine several times over.
+    """
     tmp_dir = tmp_path_factory.mktemp("acceptance_e2e")
-    return [_handwriting_run(tmp_dir, "a"), _handwriting_run(tmp_dir, "b")]
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(max_workers=2,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            runs = [pool.submit(_handwriting_run, tmp_dir, tag) for tag in ("a", "b")]
+            return [run.result() for run in runs]
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
 def test_criterion_09_end_to_end_training(announce, handwriting_runs):

@@ -407,6 +407,29 @@ class TestInputFaults:
         assert f"{ckpt}:{row + 1}: config line needs key and value" in \
             capsys.readouterr().err
 
+    def test_config_value_that_does_not_parse(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data = synth:spiral\nseed = x\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"error: {cfg}:2: seed: cannot parse 'x'\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("config seed x", "seed: cannot parse 'x'"),
+        ("config lr -1", "lr must be positive and finite, got -1.0"),
+    ])
+    def test_checkpoint_config_value_that_is_refused(self, tmp_path, capsys,
+                                                      line, message):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        key = line.split()[1]
+        ckpt.write_text("".join(
+            f"{line}\n" if entry.startswith(f"config {key} ") else entry
+            for entry in ckpt.read_text().splitlines(keepends=True)))
+        capsys.readouterr()
+        assert main(["eval", str(ckpt)]) == 2
+        assert f"error: {ckpt}: config: {message}\n" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_identity_certified_exit_0(self, tmp_path, capsys):

@@ -56,6 +56,14 @@ class TestTrajectory:
         with pytest.raises(DataError):
             Trajectory(times=np.array([0.0]), states=np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("times, states", [
+        (np.zeros((2, 1)), np.zeros((2, 2))),
+        (np.arange(2.0), np.zeros(2)),
+    ])
+    def test_wrong_rank_rejected(self, times, states):
+        with pytest.raises(DimensionError, match="times must be 1-D and states 2-D"):
+            Trajectory(times=times, states=states)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 2)))
@@ -275,6 +283,16 @@ class TestPreprocessing:
         with pytest.raises(DegenerateDataError):
             normalize(ds)
 
+    def test_centering_an_empty_dataset_rejected(self):
+        with pytest.raises(DataError, match="cannot center an empty dataset"):
+            center_to_equilibrium(Dataset(trajectories=(), split=()))
+
+    def test_normalize_without_train_split_rejected(self):
+        ds = Dataset(trajectories=(make_traj([[1.0, 2.0], [2.0, 3.0]]),),
+                     split=("val",))
+        with pytest.raises(DataError, match="needs a non-empty train split"):
+            normalize(ds)
+
     def test_center_after_normalize_rejected(self):
         rng = np.random.default_rng(13)
         ds = normalize(self._dataset(rng))
@@ -375,3 +393,7 @@ class TestDataset:
         b = make_traj(np.ones((3, 3)))
         with pytest.raises(DimensionError):
             Dataset(trajectories=(a, b), split=("train", "val"))
+
+    def test_empty_dataset_has_no_dimension(self):
+        with pytest.raises(DataError, match="empty dataset has no dimension"):
+            Dataset(trajectories=(), split=()).dim

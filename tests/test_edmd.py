@@ -58,6 +58,10 @@ class TestLiftDataset:
         with pytest.raises(DataError):
             lift_dataset([np.zeros((1, 3))], "identity")
 
+    def test_one_dimensional_trajectory_rejected(self):
+        with pytest.raises(DimensionError, match="trajectory 0 must be 2-D, got 1-D"):
+            lift_dataset([np.arange(4.0)], "identity")
+
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
             lift_dataset([], "identity")
@@ -137,6 +141,10 @@ class TestEdmdFit:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(DimensionError):
             SnapshotPair(Psi=np.zeros((2, 3)), Psi_plus=np.zeros((2, 4)))
+
+    def test_snapshot_matrices_must_be_2d(self):
+        with pytest.raises(DimensionError, match="snapshot matrices must be 2-D"):
+            SnapshotPair(Psi=np.zeros(3), Psi_plus=np.zeros(3))
 
 
 class TestStabilityContrast:

@@ -60,6 +60,15 @@ class TestNmse:
         with pytest.raises(DimensionError):
             nmse(np.zeros((4, 2)), np.zeros((5, 2)))
 
+    def test_count_mismatch_rejected(self):
+        x = sample_truth(np.random.default_rng(87))
+        with pytest.raises(DimensionError, match="2 predictions but 1 truths"):
+            nmse([x, x], [x])
+
+    def test_empty_trajectory_rejected(self):
+        with pytest.raises(DataError, match="trajectory 0 is empty"):
+            nmse(np.zeros((0, 2)), np.zeros((0, 2)))
+
     @pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
     def test_non_finite_error_is_a_numeric_failure(self, bad):
         rng = np.random.default_rng(86)

@@ -96,6 +96,18 @@ class TestMlpParams:
             MlpParams(weights=[np.zeros((3, 2)), np.zeros((2, 4))],
                       biases=[np.zeros((3, 1)), np.zeros((2, 1))])
 
+    @pytest.mark.parametrize("weights, biases", [
+        ([], []),
+        ([np.zeros((3, 2))], []),
+    ])
+    def test_one_bias_per_weight_required(self, weights, biases):
+        with pytest.raises(DimensionError, match="one bias per weight matrix"):
+            MlpParams(weights=weights, biases=biases)
+
+    def test_init_needs_input_and_output_sizes(self):
+        with pytest.raises(DimensionError, match="at least input and output sizes"):
+            MlpParams.init([3])
+
     def test_bias_shape_rejected(self):
         with pytest.raises(DimensionError):
             MlpParams(weights=[np.zeros((3, 2))], biases=[np.zeros((3,))])
@@ -111,6 +123,28 @@ class TestMlpParams:
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         assert all(np.all(bb == 0.0) for bb in a.biases)
+
+
+class TestKoopmanModelShapes:
+    def test_decoder_must_invert_encoder(self):
+        m = tiny_model()
+        decoder = MlpParams.init([3, 4, 5])
+        with pytest.raises(DimensionError, match="do not invert encoder sizes"):
+            KoopmanModel(encoder=m.encoder, decoder=decoder, K=m.K, S=m.S)
+
+    @pytest.mark.parametrize("name", ["K", "S"])
+    def test_k_and_s_must_match_the_encoder(self, name):
+        m = tiny_model()
+        mats = {"K": m.K, "S": m.S, name: np.eye(2)}
+        with pytest.raises(DimensionError, match=r"K and S must be \(3, 3\)"):
+            KoopmanModel(encoder=m.encoder, decoder=m.decoder, **mats)
+
+    def test_set_params_refuses_a_wrong_shape(self):
+        m = tiny_model()
+        params = {**m.get_params(), "K": np.eye(2)}
+        with pytest.raises(DimensionError, match=r"K: shape \(2, 2\) != \(3, 3\)"):
+            m.set_params(params)
+        assert m.K.shape == (3, 3)
 
 
 class TestEncodeDecode:
@@ -407,6 +441,15 @@ class TestSlidingWindowLoss:
         assert len(tape) == 0
         monkeypatch.setattr(model_module, "MAX_TAPE_BYTES", needed)
         sliding_window_loss(BoundModel(Tape(), m), trajs, w)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(DataError, match="empty batch"):
+            sliding_window_loss(BoundModel(Tape(), tiny_model()), [], LossWeights())
+
+    def test_one_dimensional_trajectory_rejected(self):
+        with pytest.raises(DimensionError, match=r"expected \(T, n\) states"):
+            sliding_window_loss(BoundModel(Tape(), tiny_model()), [np.zeros(12)],
+                                LossWeights(horizon=2))
 
     def test_effective_matrix_is_computed_once_per_tape(self):
         m = tiny_model()
