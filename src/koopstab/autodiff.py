@@ -17,8 +17,9 @@ reference counting frees a step's intermediates as soon as the caller drops
 them, without waiting for the cyclic garbage collector.
 
 A whole dense layer, ``act(w @ x + b)``, records as one operation,
-:func:`dense`. Its forward allocates one array, the product, and adds the
-bias and applies the activation to it in place; its adjoint derives the
+:func:`dense`. Its forward, :func:`dense_forward`, which the untaped
+``MlpParams.forward`` calls too, allocates one array, the product, and adds
+the bias and applies the activation to it in place; its adjoint derives the
 activation's slope from that output. The values and gradients are the
 same float operations in the same order as the chain
 :func:`matmul` -> :func:`add_bias` -> :func:`elementwise`, which remain
@@ -243,6 +244,13 @@ def elementwise(a: DiffValue, fn: str) -> DiffValue:
                         lambda g: (_activation_adjoint(g, out_val, fn),))
 
 
+def dense_forward(w: np.ndarray, x: np.ndarray, b: np.ndarray, fn: str) -> np.ndarray:
+    """``fn(w @ x + b)`` on plain arrays; the product is the only new array."""
+    h = w @ x
+    h += b
+    return _activate(h, fn)
+
+
 def dense(w: DiffValue, x: DiffValue, b: DiffValue, fn: str) -> DiffValue:
     """One MLP layer ``fn(w @ x + b)`` as a single tape operation.
 
@@ -258,9 +266,7 @@ def dense(w: DiffValue, x: DiffValue, b: DiffValue, fn: str) -> DiffValue:
         raise DimensionError(
             f"dense: bias must be ({w.value.shape[0]}, 1), got {b.value.shape}")
     wv, xv = w.value, x.value
-    h = wv @ xv
-    h += b.value
-    _activate(h, fn)
+    h = dense_forward(wv, xv, b.value, fn)
     out = DiffValue(h, tape)
 
     def backward_fn(g):

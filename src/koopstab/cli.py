@@ -206,6 +206,7 @@ def _load_dataset(config: RunConfig,
                   preprocessing: Preprocessing | None = None) -> Dataset:
     """Resolve the ``data`` field and preprocess it.
 
+    Every source, generated or read, is resampled onto the ``dt`` grid.
     Without ``preprocessing`` the configured steps fit a new transform. A
     checkpoint's ``preprocessing`` is applied as it stands, on its own
     ``dt`` grid, so a model scores data in the coordinates it trained in.
@@ -214,23 +215,26 @@ def _load_dataset(config: RunConfig,
     if not source:
         raise ConfigError("missing dataset path: set 'data' in the config file "
                           "or give the data on the command line")
-    if source == "synth:spiral":
-        dataset = synth_stable_spiral(seed=config.train.seed, n_val=config.n_val)
-    elif source == "synth:handwriting":
-        dataset = synth_handwriting_like(seed=config.train.seed, n_val=config.n_val)
-    else:
-        path = Path(source)
-        if not path.exists():
-            raise DataError(f"dataset path does not exist: {source}")
-        if path.is_dir() or path.suffix == ".csv":
-            trajs = load_trajectories(path)
-            dataset = Dataset(trajectories=tuple(trajs),
-                              split=assign_split(len(trajs), config.n_val))
+    try:
+        if source == "synth:spiral":
+            dataset = synth_stable_spiral(seed=config.train.seed, n_val=config.n_val)
+        elif source == "synth:handwriting":
+            dataset = synth_handwriting_like(seed=config.train.seed, n_val=config.n_val)
         else:
-            dataset = load_manifest(path)
-        dt = config.dt if preprocessing is None else preprocessing.dt or 0.0
-        if dt > 0:
-            dataset = resample_dataset(dataset, dt)
+            path = Path(source)
+            if not path.exists():
+                raise DataError(f"dataset path does not exist: {source}")
+            if path.is_dir() or path.suffix == ".csv":
+                trajs = load_trajectories(path)
+                dataset = Dataset(trajectories=tuple(trajs),
+                                  split=assign_split(len(trajs), config.n_val))
+            else:
+                dataset = load_manifest(path)
+    except ContractError as exc:  # a split the source cannot hold
+        raise ContractError(f"data {source}: {exc}") from None
+    dt = config.dt if preprocessing is None else preprocessing.dt or 0.0
+    if dt > 0:
+        dataset = resample_dataset(dataset, dt)
     if preprocessing is not None:
         return dataclasses.replace(dataset.map_states(preprocessing.apply),
                                    preprocessing=preprocessing)

@@ -285,7 +285,8 @@ def normalize(dataset: Dataset) -> Dataset:
 def assign_split(n_traj: int, n_val: int) -> tuple[str, ...]:
     """Last ``n_val`` trajectories become validation, the rest train."""
     if not 0 <= n_val < n_traj:
-        raise ContractError(f"n_val must lie in [0, {n_traj}), got {n_val}")
+        raise ContractError(f"cannot take n_val = {n_val} validation trajectories out of "
+                            f"{n_traj}: n_val must lie in [0, {n_traj})")
     return tuple([TRAIN] * (n_traj - n_val) + [VAL] * n_val)
 
 

@@ -87,13 +87,12 @@ class MlpParams:
         return cls(weights=weights, biases=biases, activation=activation)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Plain numpy pass over column-stacked inputs (in_dim x N)."""
+        """Plain numpy pass over column-stacked inputs (in_dim x N), layer by
+        layer with ``autodiff.dense_forward``, the forward of the tape's ``dense``."""
         h = X
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = w @ h + b
-            if k < last:
-                ad._activate(h, self.activation)
+            h = ad.dense_forward(w, h, b, self.activation if k < last else "identity")
         return h
 
 
@@ -168,40 +167,27 @@ class KoopmanModel:
         """The matrix S^-1 K S that advances lifted coordinates."""
         return ad.checked_inverse(self.S) @ self.K @ self.S
 
-    def _rollout(self, Keff: np.ndarray, psi0, horizon: int) -> np.ndarray:
-        """Lifted iterates [Keff z, Keff^2 z, ..., Keff^horizon z], rows stacked."""
-        if horizon < 1:
-            raise ContractError(f"horizon must be >= 1, got {horizon}")
-        z = np.asarray(psi0, dtype=np.float64).reshape(self.d)
-        out = np.empty((horizon, self.d))
-        for k in range(horizon):
-            z = np.matmul(Keff, z, out=out[k])
-        return out
+    def predict_states(self, x0, n_steps: int, Keff: np.ndarray | None = None):
+        """Decoded predictions for steps 1..n_steps from one state x0, as rows.
 
-    def predict_states(self, x0, n_steps, Keff: np.ndarray | None = None):
-        """Decoded predictions for steps 1..n_steps from the state x0.
-
-        ``x0`` may also be a (B, n) stack of initial states, with
-        ``n_steps`` a sequence of B step counts; the result is then a list
-        of B prediction arrays, and S^-1 K S is formed once for all of them.
-        A caller that already holds this model's S^-1 K S passes it as
-        ``Keff``, and it is not formed again.
+        ``x0`` is one (n,) state and ``n_steps`` an int; a stack of states or
+        a count of another type raises ``DimensionError``, and a count below 1
+        ``ContractError``. A caller that already holds this model's S^-1 K S
+        passes it as ``Keff``, and it is not formed again.
         """
-        states = np.asarray(x0, dtype=np.float64)
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.ndim != 1 or not isinstance(n_steps, (int, np.integer)):
+            raise DimensionError(f"expected one initial state and an int step count, "
+                                 f"got state shape {x0.shape} and count {n_steps!r}")
+        if n_steps < 1:
+            raise ContractError(f"n_steps must be >= 1, got {n_steps}")
         if Keff is None:
             Keff = self.effective_matrix()
-
-        def predict(x, count):
-            lifted = self._rollout(Keff, self.encode(x), count)
-            return self.decode(lifted.T).T
-
-        if states.ndim == 1:
-            return predict(states, n_steps)
-        if states.ndim != 2 or np.ndim(n_steps) != 1 or len(n_steps) != len(states):
-            raise DimensionError(
-                f"expected one initial state or a stack of them with one step "
-                f"count each, got states {states.shape} and counts {n_steps!r}")
-        return [predict(x, count) for x, count in zip(states, n_steps)]
+        z = self.encode(x0)
+        lifted = np.empty((n_steps, self.d))
+        for k in range(n_steps):
+            z = np.matmul(Keff, z, out=lifted[k])
+        return self.decode(lifted.T).T
 
     def get_params(self) -> dict[str, np.ndarray]:
         """Named views of every trainable array (mutations write through)."""

@@ -280,16 +280,10 @@ def _batches(trajs: list[np.ndarray], batch_size: int,
             for k in range(0, len(trajs), batch_size)]
 
 
-def _initial_states(trajs) -> tuple[np.ndarray, list[int]]:
-    """Stacked first states and the number of later steps of each trajectory."""
-    return (np.array([t.states[0] for t in trajs]),
-            [t.n_samples - 1 for t in trajs])
-
-
-def _val_nmse(model: KoopmanModel, dataset: Dataset, Keff: np.ndarray) -> float:
-    val = dataset.val
-    return nmse(model.predict_states(*_initial_states(val), Keff=Keff),
-                [t.states[1:] for t in val])
+def _predict_split(model: KoopmanModel, trajs, Keff: np.ndarray) -> list[np.ndarray]:
+    """Each trajectory's states 1..T-1 predicted from its first, with S^-1 K S = Keff."""
+    return [model.predict_states(t.states[0], t.n_samples - 1, Keff=Keff)
+            for t in trajs]
 
 
 def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
@@ -318,6 +312,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
     adam = AdamState.init(model.get_params())
     history = TrainHistory(alpha=config.alpha)
     score_val = config.early_stop and len(dataset.val) > 0
+    val_truths = [t.states[1:] for t in dataset.val]
     best_val = np.inf
     best_epoch = 0
     iteration = 0
@@ -355,8 +350,8 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
             # the next step's tape; validation scores with its S^-1 K S,
             # which that step's loss then reuses
             bound = BoundModel(Tape(), model)
-            val_nmse = (_val_nmse(model, dataset, bound.effective().value)
-                        if score_val else float("nan"))
+            val_nmse = (nmse(_predict_split(model, dataset.val, bound.effective().value),
+                             val_truths) if score_val else float("nan"))
             history.append(IterationRecord(
                 iteration=iteration,
                 epoch=epoch,
@@ -401,8 +396,7 @@ def evaluate(model: KoopmanModel, dataset: Dataset, split: str = "val") -> Metri
     if not trajs:
         raise DataError(f"split {split!r} is empty")
     Keff = model.effective_matrix()
-    preds = model.predict_states(*_initial_states(trajs), Keff=Keff)
-    preds = [dataset.preprocessing.invert(p) for p in preds]
+    preds = [dataset.preprocessing.invert(p) for p in _predict_split(model, trajs, Keff)]
     truths = [dataset.preprocessing.invert(t.states[1:]) for t in trajs]
     return build_report(
         preds, truths,

@@ -302,6 +302,33 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    def test_dt_resamples_generated_data_as_it_does_files(self, tmp_path):
+        data_dir = write_csv_dir(tmp_path / "trajs", synth_stable_spiral(seed=3, n_val=1))
+        for name, data in (("synth", "synth:spiral"), ("files", data_dir)):
+            cfg = write_config(tmp_path, data=data, dt=0.05, epochs=2,
+                               out=str(tmp_path / name))
+            assert main(["train", "--config", str(cfg)]) == 0
+            _, pre, _ = load_checkpoint(tmp_path / name / "model.ckpt")
+            assert pre.dt == 0.05
+        assert ((tmp_path / "synth" / "history.csv").read_bytes()
+                == (tmp_path / "files" / "history.csv").read_bytes())
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_too_few_trajectories_for_the_split_exits_2(self, tmp_path, capsys,
+                                                         command):
+        one = tmp_path / "one.csv"
+        write_trajectory_csv(one, synth_stable_spiral(n_traj=1, n_val=0).trajectories[0])
+        if command == "train":
+            argv = ["train", "--data", str(one), "--out", str(tmp_path / "r")]
+        else:
+            assert main(["train", "--config", str(write_config(tmp_path, epochs=1,
+                                                               n_val=2))]) == 0
+            argv = ["eval", str(tmp_path / "run" / "model.ckpt"), str(one)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"data {one}: cannot take n_val = 2 validation trajectories out of 1" in err
+
     @pytest.mark.parametrize("dt", ["1e-300", "5e-324"])
     def test_oversized_resampling_grid_exits_2(self, tmp_path, capsys, dt):
         data_dir = write_csv_dir(tmp_path / "trajs", synth_stable_spiral(n_traj=3))
@@ -465,6 +492,13 @@ class TestVerifyCommand:
         write_matrix(path, np.array(K))
         assert main(["verify", str(path), f"--margin={tol}"]) == 2
         assert "margin tolerance must be finite" in capsys.readouterr().err
+
+    def test_zero_matrix_above_the_dense_limit_certified_exit_0(self, tmp_path, capsys):
+        # ARPACK cannot start from a zero matrix; the dense solver answers
+        path = tmp_path / "k.csv"
+        write_matrix(path, np.zeros((100, 100)))
+        assert main(["verify", str(path)]) == 0
+        assert "spectral radius = 0.000000e+00" in capsys.readouterr().out
 
     def test_overflowing_row_sum_refused_exit_1(self, tmp_path, capsys):
         path = tmp_path / "k.csv"

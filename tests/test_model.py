@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from koopstab import autodiff as ad
 from koopstab import model as model_module
 from koopstab.autodiff import Tape
 from koopstab.data import Preprocessing, synth_handwriting_like
@@ -90,6 +91,19 @@ class TestMlpParams:
                         biases=[np.ones((3, 1)), b])
         out = mlp.forward(np.array([[5.0], [6.0]]))
         np.testing.assert_allclose(out, b, atol=1e-15)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    def test_forward_equals_the_tape_dense_chain_bit_for_bit(self, activation):
+        rng = np.random.default_rng(57)
+        mlp = MlpParams.init([3, 7, 5, 2], activation, rng)
+        for b in mlp.biases:
+            b += rng.normal(size=b.shape)
+        X = rng.normal(size=(3, 9))
+        tape = Tape()
+        h = tape.leaf(X)
+        for w, b, fn in zip(mlp.weights, mlp.biases, [activation] * 2 + ["identity"]):
+            h = ad.dense(tape.leaf(w), h, tape.leaf(b), fn)
+        assert same_bits(mlp.forward(X), h.value)
 
     def test_broken_chain_rejected(self):
         with pytest.raises(DimensionError):
@@ -236,7 +250,8 @@ class TestRollout:
         m = linear_identity_model(rng.normal(size=(6, 6)) / 3.0)
         Keff = m.effective_matrix()
         z0 = rng.normal(size=6)
-        assert same_bits(m._rollout(Keff, z0, 12), rollout_reference(Keff, z0, 12))
+        assert same_bits(m.predict_states(z0, 12, Keff=Keff),
+                         rollout_reference(Keff, z0, 12))
 
     def test_prediction_matches_true_linear_system(self):
         rng = np.random.default_rng(52)
@@ -247,18 +262,16 @@ class TestRollout:
         expected = np.array([A @ x0, A @ A @ x0, A @ A @ A @ x0])
         np.testing.assert_allclose(pred, expected, atol=1e-12)
 
-    def test_stacked_initial_states_match_single_predictions(self):
-        rng = np.random.default_rng(53)
-        m = tiny_model(seed=5)
-        starts = rng.normal(size=(3, 2))
-        stacked = m.predict_states(starts, [4, 1, 6])
-        assert len(stacked) == 3
-        for x0, count, pred in zip(starts, [4, 1, 6], stacked):
-            np.testing.assert_array_equal(pred, m.predict_states(x0, count))
-        with pytest.raises(DimensionError):
-            m.predict_states(starts, [4, 1])
-        with pytest.raises(DimensionError):
-            m.predict_states(starts, 4)
+    @pytest.mark.parametrize("x0, n_steps", [
+        (np.zeros((3, 2)), [4, 1, 6]),
+        (np.zeros((3, 2)), 4),
+        (np.zeros((1, 2)), 4),
+        (np.zeros(2), [4]),
+        (np.zeros(2), 4.0),
+    ], ids=["stack-with-counts", "stack", "one-row-stack", "count-list", "float-count"])
+    def test_only_one_state_and_an_int_count_accepted(self, x0, n_steps):
+        with pytest.raises(DimensionError, match="one initial state"):
+            tiny_model().predict_states(x0, n_steps)
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ContractError):

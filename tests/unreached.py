@@ -34,11 +34,9 @@ ALLOWED = {
     # the console-script entry point; tests call main() in-process, and the
     # one test that starts `python -m koopstab.cli` runs outside the tracer
     "cli.py": ("sys.exit(main())",),
-    # reached only by the strict xfails in bench/tests, which pin two known
-    # defects: asymmetric pgd_project falling short on two large EDMD fits,
-    # and the ARPACK spectral radius
+    # reached only by a strict xfail in bench/tests, which pins a known
+    # defect: asymmetric pgd_project falling short on two large EDMD fits
     "projection.py": ("failed to reach barrier targets",),
-    "stability.py": ("spectral radius iteration failed",),
 }
 
 
