@@ -190,7 +190,7 @@ class KoopmanModel:
         return self.decode(lifted.T).T
 
     def get_params(self) -> dict[str, np.ndarray]:
-        """Named views of every trainable array (mutations write through)."""
+        """The model's own trainable arrays by name; writing into one writes the model."""
         out: dict[str, np.ndarray] = {}
         for prefix, mlp in (("encoder", self.encoder), ("decoder", self.decoder)):
             for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
@@ -199,21 +199,6 @@ class KoopmanModel:
         out["K"] = self.K
         out["S"] = self.S
         return out
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        current = self.get_params()
-        if set(params) != set(current):
-            raise ContractError("parameter names do not match this model")
-        for name, arr in params.items():
-            if arr.shape != current[name].shape:
-                raise DimensionError(
-                    f"{name}: shape {arr.shape} != {current[name].shape}")
-        for prefix, mlp in (("encoder", self.encoder), ("decoder", self.decoder)):
-            for k in range(len(mlp.weights)):
-                mlp.weights[k] = np.array(params[f"{prefix}.w{k}"], dtype=np.float64)
-                mlp.biases[k] = np.array(params[f"{prefix}.b{k}"], dtype=np.float64)
-        self.K = np.array(params["K"], dtype=np.float64)
-        self.S = np.array(params["S"], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -485,13 +470,12 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
                          activation=meta[f"{prefix}-activation"])
 
     try:
-        encoder = build_mlp("encoder")
-        decoder = build_mlp("decoder")
-        K = matrices.pop("K")
-        S = matrices.pop("S")
+        model = KoopmanModel(encoder=build_mlp("encoder"), decoder=build_mlp("decoder"),
+                             K=matrices.pop("K"), S=matrices.pop("S"))
     except KeyError as exc:
         raise ParseError(f"missing matrix {exc.args[0]}", path=path) from None
-    model = KoopmanModel(encoder=encoder, decoder=decoder, K=K, S=S)
+    except (ContractError, DimensionError) as exc:
+        raise ParseError(str(exc), path=path) from None
     vectors = {}
     for name in ("offset", "scale"):
         arr = matrices.pop(f"preproc.{name}", None)

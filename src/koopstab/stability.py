@@ -119,9 +119,9 @@ def spectral_radius(K) -> float:
     """Largest eigenvalue modulus of a square matrix.
 
     Above the dense limit an implicitly restarted Arnoldi iteration finds
-    the largest-modulus eigenvalues (relative accuracy 1e-8 or better). Small
-    matrices, and those the iteration fails on (a zero matrix, a cyclic
-    permutation), use the dense eigensolver.
+    the largest-modulus eigenvalues (relative accuracy 1e-8 or better) in at
+    most scipy's default of 10 d iterations. Small matrices, and those it
+    fails on (a zero matrix, a cyclic permutation), use the dense eigensolver.
     """
     K = _check_square(K)
     d = K.shape[0]
@@ -129,7 +129,7 @@ def spectral_radius(K) -> float:
         from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
         try:
             vals = eigs(K, k=min(6, d - 2), which="LM", return_eigenvectors=False,
-                        v0=np.full(d, d ** -0.5), maxiter=100_000, tol=1e-10)
+                        v0=np.full(d, d ** -0.5), tol=1e-10)
             return float(np.max(np.abs(vals)))
         except (ArpackNoConvergence, ArpackError):
             pass

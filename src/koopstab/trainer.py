@@ -4,8 +4,8 @@ Each iteration:
   1. snapshots K (the projection thresholds come from this pre-update value),
   2. evaluates the sliding-window loss on the batch and backpropagates, on
      the tape already bound to the current parameters,
-  3. applies a bias-corrected Adam update to encoder, decoder, K, and S,
-  4. pulls every row of the updated K back to its relaxed barrier set,
+  3. updates encoder, decoder, K, and S in place with bias-corrected Adam,
+  4. projects every row of K back to its relaxed barrier set, in place,
   5. binds the next iteration's tape to the updated parameters; validation
      scoring (``early_stop``) reads S^-1 K S from that tape, and the next
      loss reuses the same node, so each parameter state is inverted once.
@@ -172,11 +172,9 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, config: TrainConfig) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update; returns new parameter arrays.
-
-    The moments in ``state`` are updated in place.
-    """
+              state: AdamState, config: TrainConfig) -> None:
+    """One bias-corrected Adam update, written in place into the arrays of
+    ``params`` and the moments of ``state``; it copies no parameter array."""
     if set(params) != set(grads):
         raise ContractError("parameter and gradient names differ")
     state.step += 1
@@ -184,7 +182,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     b1, b2 = _BETA1, _BETA2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    out: dict[str, np.ndarray] = {}
     # an overflow leaves Inf or NaN behind, which the explicit checks name
     with np.errstate(over="ignore", invalid="ignore"):
         for name, p in params.items():
@@ -194,8 +191,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient in parameter {name!r} "
                                    f"at step {t}")
-            # p - lr * (m / bias1) / (sqrt(v / bias2) + eps), with the same
-            # float operations in the same order, in two new arrays
+            # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps), with the same
+            # float operations in the same order, in two scratch arrays
             m, v = state.m[name], state.v[name]
             m *= b1
             m += (1.0 - b1) * g
@@ -209,11 +206,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             np.sqrt(den, out=den)
             den += _EPS
             step /= den
-            out[name] = np.subtract(p, step, out=step)
-            if not (np.all(np.isfinite(out[name])) and np.all(np.isfinite(v))):
+            p -= step
+            if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
                 raise NumericError(f"Adam step {t} left parameter {name!r} or its "
                                    f"second moment non-finite")
-    return out
 
 
 @dataclass
@@ -289,8 +285,9 @@ def _predict_split(model: KoopmanModel, trajs, Keff: np.ndarray) -> list[np.ndar
 def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
           checkpoint_path=None, checkpoint_every: int = 0,
           checkpoint_config: dict[str, str] | None = None) -> TrainHistory:
-    """Run the full loop, mutating ``model`` in place; returns the history.
+    """Run the full loop, writing into the arrays ``model`` holds; returns the history.
 
+    The arrays passed to ``KoopmanModel(...)`` are the ones that change.
     With ``checkpoint_path`` set, the model is saved every
     ``checkpoint_every`` epochs (and at the end), so a numeric abort leaves
     the most recent checkpoint on disk. The checkpoint's ``config`` lines
@@ -337,14 +334,13 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
                     raise NumericError(f"loss became non-finite at epoch {epoch}")
                 bound.tape.backward(loss)
 
-            new_params = adam_step(model.get_params(), bound.gradients(),
-                                   adam, config)
-            K_tilde = new_params["K"]
-            h_unprojected = barrier_values(K_tilde).rows(config.mode)
-            K_proj = pgd_project(K_tilde, K_pre, config.alpha, config.mode,
+            # model.K holds K_tilde until the projection is written back
+            adam_step(model.get_params(), bound.gradients(), adam, config)
+            h_unprojected = barrier_values(model.K).rows(config.mode)
+            K_proj = pgd_project(model.K, K_pre, config.alpha, config.mode,
                                  config.margin)
-            new_params["K"] = K_proj
-            model.set_params(new_params)
+            step_displacement = displacement(model.K, K_proj)
+            model.K[...] = K_proj
             h_post = barrier_values(K_proj).rows(config.mode)
 
             # the next step's tape; validation scores with its S^-1 K S,
@@ -362,7 +358,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
                 h_pre=h_pre,
                 h_unprojected=h_unprojected,
                 h_post=h_post,
-                displacement=displacement(K_tilde, K_proj),
+                displacement=step_displacement,
                 val_nmse=val_nmse,
                 wall_time=time.perf_counter() - started))
             iteration += 1

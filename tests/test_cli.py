@@ -500,6 +500,15 @@ class TestVerifyCommand:
         assert main(["verify", str(path)]) == 0
         assert "spectral radius = 0.000000e+00" in capsys.readouterr().out
 
+    def test_cyclic_permutation_above_the_dense_limit_certified_exit_0(self, tmp_path,
+                                                                      capsys):
+        # margin exactly 0; ARPACK gives up after scipy's default iteration
+        # count and the dense solver answers
+        path = tmp_path / "k.csv"
+        write_matrix(path, np.roll(np.eye(100), 1, axis=1))
+        assert main(["verify", str(path)]) == 0
+        assert "spectral radius = 1.000000e+00" in capsys.readouterr().out
+
     def test_overflowing_row_sum_refused_exit_1(self, tmp_path, capsys):
         path = tmp_path / "k.csv"
         path.write_text("1e308,1e308\n0,0.5\n")
@@ -600,6 +609,14 @@ def drop_config_lines(path, keys):
     dropped = {("config", key) for key in keys}
     path.write_text("".join(line for line in path.read_text().splitlines(True)
                             if tuple(line.split()[:2]) not in dropped))
+
+
+def one_by_one_k(text):
+    """A checkpoint's text with its K replaced by the 1x1 matrix 0.5."""
+    lines = text.splitlines(True)
+    at = next(k for k, line in enumerate(lines) if line.startswith("matrix K "))
+    rows = int(lines[at].split()[2])
+    return "".join(lines[:at] + ["matrix K 1 1\n", "0.5\n"] + lines[at + 1 + rows:])
 
 
 def scored(ckpt, seed, n_val, split="val"):
@@ -724,6 +741,23 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert f"{ckpt}: missing key encoder-layers" in err
         assert ":0:" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("encoder-activation tanh", "encoder-activation sigmoid"),
+         "unknown activation 'sigmoid'"),
+        (lambda text: text.replace("encoder-layers 2", "encoder-layers 0"),
+         "need one bias per weight matrix"),
+        (one_by_one_k, "K and S must be"),
+    ], ids=["activation", "no-layers", "one-by-one-K"])
+    def test_entries_that_build_no_model_exit_2_naming_the_file(self, tmp_path, capsys,
+                                                                edit, message):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        ckpt.write_text(edit(ckpt.read_text()))
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), "synth:spiral"]) == 2
+        assert f"error: {ckpt}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, bad", [("K", "nan"), ("encoder.w0", "inf")])
     def test_non_finite_entry_exits_2(self, tmp_path, capsys, name, bad):

@@ -153,13 +153,6 @@ class TestKoopmanModelShapes:
         with pytest.raises(DimensionError, match=r"K and S must be \(3, 3\)"):
             KoopmanModel(encoder=m.encoder, decoder=m.decoder, **mats)
 
-    def test_set_params_refuses_a_wrong_shape(self):
-        m = tiny_model()
-        params = {**m.get_params(), "K": np.eye(2)}
-        with pytest.raises(DimensionError, match=r"K: shape \(2, 2\) != \(3, 3\)"):
-            m.set_params(params)
-        assert m.K.shape == (3, 3)
-
 
 class TestEncodeDecode:
     def test_vector_and_batch_agree(self):
@@ -626,19 +619,6 @@ class TestCheckpoint:
 
 
 class TestParams:
-    def test_get_set_round_trip(self):
-        m = tiny_model(seed=16)
-        params = {k: v.copy() for k, v in m.get_params().items()}
-        m2 = tiny_model(seed=99)
-        m2.set_params(params)
-        for name, arr in params.items():
-            np.testing.assert_array_equal(m2.get_params()[name], arr)
-
-    def test_name_mismatch_rejected(self):
-        m = tiny_model()
-        with pytest.raises(ContractError):
-            m.set_params({"K": m.K})
-
     def test_infeasible_init_violates_condition(self):
         m = tiny_model(k_init="infeasible")
         assert not certify_stable(m.K).certified
