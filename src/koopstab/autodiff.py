@@ -8,13 +8,13 @@ accumulate (sum) across fan-out; a fresh tape is used per training step, so
 there is nothing to reset.
 
 Gradients are materialised lazily: a value holds no gradient array until
-the sweep reaches it. A value's first contribution is borrowed, because an
-adjoint may hand one array to two parents; the second is summed into a new
-array that the value then owns, and later ones add into it in place. The
-sweep releases each node once its adjoint is applied, so after
-:meth:`Tape.backward` the tape keeps no activations or closures, and
-reference counting frees a step's intermediates as soon as the caller drops
-them, without waiting for the cyclic garbage collector.
+the sweep reaches it. Every adjoint returns arrays it allocated, one to
+each parent, so a value's first contribution becomes its gradient and
+later ones are added into that array in place. The sweep releases each
+node once its adjoint is applied, so after :meth:`Tape.backward` the tape
+keeps no activations or closures, and reference counting frees a step's
+intermediates as soon as the caller drops them, without waiting for the
+cyclic garbage collector.
 
 A whole dense layer, ``act(w @ x + b)``, records as one operation,
 :func:`dense`. Its forward, :func:`dense_forward`, which the untaped
@@ -62,16 +62,15 @@ class DiffValue:
     ``grad`` has the same shape as ``value`` and holds d(loss)/d(value)
     after a backward pass from a scalar loss. No gradient array exists
     until the pass reaches the value; an unreached value reads as zeros.
-    The array may be shared with other values' gradients, so treat it as
-    read-only.
+    The array belongs to this value alone: no other value's gradient shares
+    its memory.
     """
 
-    __slots__ = ("value", "_grad", "_owns_grad", "_tape", "__weakref__")
+    __slots__ = ("value", "_grad", "_tape", "__weakref__")
 
     def __init__(self, value: np.ndarray, tape: "Tape"):
         self.value = value
         self._grad = None
-        self._owns_grad = False  # True once _grad is a sum the sweep allocated
         self._tape = tape
 
     @property
@@ -138,13 +137,9 @@ class Tape:
                 continue
             for parent, pg in zip(node.parents, node.backward_fn(g)):
                 if parent._grad is None:
-                    # borrowed: adjoints may hand the same array to two parents
                     parent._grad = pg
-                elif parent._owns_grad:
-                    parent._grad += pg
                 else:
-                    parent._grad = parent._grad + pg
-                    parent._owns_grad = True
+                    parent._grad += pg
 
     def __len__(self):
         """Number of operations recorded, including those already released."""
@@ -220,7 +215,7 @@ def _activate(h: np.ndarray, fn: str) -> np.ndarray:
 
 
 def _activation_adjoint(g: np.ndarray, out: np.ndarray, fn: str) -> np.ndarray:
-    """``g`` times the activation's slope, read from its output ``out``.
+    """``g`` times the activation's slope, read from its output ``out``, as a new array.
 
     relu's output is positive exactly where its input is, so the mask
     taken from the output equals the one taken from the input.
@@ -232,7 +227,7 @@ def _activation_adjoint(g: np.ndarray, out: np.ndarray, fn: str) -> np.ndarray:
         return slope
     if fn == "relu":
         return g * (out > 0.0)
-    return g
+    return g.copy()
 
 
 def elementwise(a: DiffValue, fn: str) -> DiffValue:
@@ -286,14 +281,14 @@ def add(a: DiffValue, b: DiffValue) -> DiffValue:
     tape = _same_tape(a, b)
     _check_same_shape(a, b, "add")
     out = DiffValue(a.value + b.value, tape)
-    return tape._record(out, (a, b), lambda g: (g, g))
+    return tape._record(out, (a, b), lambda g: (g.copy(), g.copy()))
 
 
 def sub(a: DiffValue, b: DiffValue) -> DiffValue:
     tape = _same_tape(a, b)
     _check_same_shape(a, b, "sub")
     out = DiffValue(a.value - b.value, tape)
-    return tape._record(out, (a, b), lambda g: (g, -g))
+    return tape._record(out, (a, b), lambda g: (g.copy(), -g))
 
 
 def add_bias(a: DiffValue, b: DiffValue) -> DiffValue:
@@ -304,7 +299,7 @@ def add_bias(a: DiffValue, b: DiffValue) -> DiffValue:
             f"add_bias: bias must be ({a.value.shape[0]}, 1), got {b.value.shape}")
     out = DiffValue(a.value + b.value, tape)
     return tape._record(out, (a, b),
-                        lambda g: (g, g.sum(axis=1, keepdims=True)))
+                        lambda g: (g.copy(), g.sum(axis=1, keepdims=True)))
 
 
 def scale(a: DiffValue, c: float) -> DiffValue:
@@ -331,24 +326,15 @@ def _column_indices(a: DiffValue, indices, opname: str) -> np.ndarray:
     return idx
 
 
-def _scatter_cols(idx: np.ndarray, rows: int, cols: int) -> Callable:
-    """The adjoint of ``a[:, idx]`` for a (rows, cols) ``a``: g -> its scatter-add."""
-    distinct = bool(np.all(idx[1:] > idx[:-1]))
+def _scatter_cols(g: np.ndarray, idx: np.ndarray, cols: int) -> np.ndarray:
+    """The adjoint of ``a[:, idx]`` for an ``a`` with ``cols`` columns: g's scatter-add.
 
-    def scatter(g):
-        if distinct:
-            # each column receives one entry; adding 0.0 turns -0.0 into
-            # +0.0 exactly as bincount's 0.0 + g does
-            buf = np.zeros((rows, cols))
-            buf[:, idx] = g
-            buf += 0.0
-            return buf
-        # one bincount over all rows; each entry sums its columns in index order
-        flat = (idx + cols * np.arange(rows)[:, None]).ravel()
-        buf = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)
-        return buf.reshape(rows, cols)
-
-    return scatter
+    One bincount over all rows; each entry sums its columns in index order,
+    starting from 0.0, so a -0.0 in ``g`` scatters as +0.0.
+    """
+    rows = g.shape[0]
+    flat = (idx + cols * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=rows * cols).reshape(rows, cols)
 
 
 def gather_cols(a: DiffValue, indices) -> DiffValue:
@@ -356,8 +342,8 @@ def gather_cols(a: DiffValue, indices) -> DiffValue:
     tape = _same_tape(a)
     idx = _column_indices(a, indices, "gather_cols")
     out = DiffValue(np.take(a.value, idx, axis=1), tape)
-    scatter = _scatter_cols(idx, *a.value.shape)
-    return tape._record(out, (a,), lambda g: (scatter(g),))
+    cols = a.value.shape[1]
+    return tape._record(out, (a,), lambda g: (_scatter_cols(g, idx, cols),))
 
 
 def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
@@ -382,11 +368,10 @@ def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
 
     r = residual()
     out = DiffValue(np.array([[np.sum(r * r)]]), tape)
-    scatter = _scatter_cols(idx, *av.shape)
 
     def backward_fn(g):
         gr = residual()
         gr *= 2.0 * g[0, 0]
-        return scatter(gr), -gr
+        return _scatter_cols(gr, idx, av.shape[1]), -gr
 
     return tape._record(out, (a, b), backward_fn)

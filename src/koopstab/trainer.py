@@ -313,16 +313,16 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
     best_val = np.inf
     best_epoch = 0
     iteration = 0
-    h_post = None
+    h_post = barrier_values(model.K).rows(config.mode)
     bound = BoundModel(Tape(), model)
 
     for epoch in range(config.epochs):
         for batch in _batches(train_trajs, config.batch_size, rng):
             started = time.perf_counter()
             K_pre = model.K.copy()
-            # K_pre holds the bytes of the last step's K_proj, whose barriers
-            # that step measured
-            h_pre = barrier_values(K_pre).rows(config.mode) if h_post is None else h_post
+            # model.K is the initial K or the last step's K_proj, whose
+            # barriers h_post holds
+            h_pre = h_post
 
             # an overflow leaves Inf or NaN behind, which the loss check here
             # and adam_step's gradient check name

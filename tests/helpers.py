@@ -14,8 +14,8 @@ reference implementations the package's fast paths are checked against.
 * ``gather_cols_adjoint_bincount``, ``backward_out_of_place``,
   ``tanh_adjoint_reference``, ``rollout_reference`` and
   ``adam_step_reference`` are the plain forms of the tape's and the
-  optimizer's fast paths (copy-free scatters, in-place sums and updates);
-  the fast paths must match them bit for bit.
+  optimizer's fast paths (in-place sums and updates); the fast paths must
+  match them bit for bit.
 * ``min_margins`` reads a training history's worst barrier per step.
 * ``Polyhedron``, ``unit_hypercube``, ``scale_set`` and
   ``inward_pointing_check`` decide forward invariance of a vertex-listed

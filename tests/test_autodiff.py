@@ -1,5 +1,6 @@
 import gc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -192,20 +193,27 @@ SWEEP_OPS = ["matmul_left", "matmul_right", "matinv", "tanh", "relu", "identity"
              "gather_cols", "gather_sq_dist", "sq_dist_arg"]
 
 
+def _sweep_rng(op_name):
+    return np.random.default_rng(zlib.crc32(op_name.encode()))
+
+
+def _sweep_input(op_name, rng):
+    if op_name == "matinv":
+        return rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+    if op_name == "bias_arg":
+        return rng.standard_normal((4, 1))
+    x0 = rng.standard_normal((4, 3))
+    if op_name == "relu":
+        # keep samples away from the kink so the FD oracle is valid
+        x0 = np.where(np.abs(x0) < 0.1, x0 + 0.2, x0)
+    return x0
+
+
 @pytest.mark.parametrize("op_name", SWEEP_OPS)
 def test_gradients_match_finite_differences(op_name):
-    rng = np.random.default_rng(hash(op_name) % 2**32)
+    rng = _sweep_rng(op_name)
     for _ in range(20):
-        if op_name == "matinv":
-            x0 = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-        elif op_name == "bias_arg":
-            x0 = rng.standard_normal((4, 1))
-        else:
-            x0 = rng.standard_normal((4, 3))
-        if op_name == "relu":
-            # keep samples away from the kink so the FD oracle is valid
-            x0 = np.where(np.abs(x0) < 0.1, x0 + 0.2, x0)
-
+        x0 = _sweep_input(op_name, rng)
         tape = ad.Tape()
         x = tape.leaf(x0)
         tape.backward(_loss_through(op_name, tape, x))
@@ -215,6 +223,38 @@ def test_gradients_match_finite_differences(op_name):
             return _loss_through(op_name, t, t.leaf(m)).value[0, 0]
 
         assert rel_err(x.grad, fd_gradient(f, x0)) < 1e-4, op_name
+
+
+def _relu_layer(layer, tape, x):
+    if layer == "dense":
+        rows = x.value.shape[0]  # identity weights: the pre-activation is x
+        return ad.dense(tape.leaf(np.eye(rows)), x, tape.leaf(np.zeros((rows, 1))), "relu")
+    return ad.elementwise(x, "relu")
+
+
+@pytest.mark.parametrize("layer", ["elementwise", "dense"])
+def test_relu_passes_no_gradient_to_negative_inputs(layer):
+    """A loss that weights relu's output sees its mask where the output is 0."""
+    rng = np.random.default_rng(14)
+    x0 = rng.standard_normal((4, 6))
+    x0 = np.where(np.abs(x0) < 0.1, x0 + 0.2, x0)  # away from the kink
+    c0 = rng.standard_normal((3, 4))
+    assert np.any(x0 < 0.0)
+
+    def loss(tape, x):
+        return ad.sum_sq_norm(ad.matmul(tape.leaf(c0), _relu_layer(layer, tape, x)))
+
+    tape = ad.Tape()
+    x = tape.leaf(x0)
+    tape.backward(loss(tape, x))
+
+    def f(m):
+        t = ad.Tape()
+        return loss(t, t.leaf(m)).value[0, 0]
+
+    assert not x.grad[x0 < 0.0].any()
+    assert np.all(x.grad[x0 > 0.0] != 0.0)
+    assert rel_err(x.grad, fd_gradient(f, x0)) < 1e-4
 
 
 # ------------------------------------------------------------- invariants
@@ -356,7 +396,7 @@ def test_add_of_a_value_to_itself_doubles_its_gradient():
 
 
 def test_fan_out_sums_gradients_without_aliasing():
-    """Adjoints hand one array to both parents; accumulation must not mutate it."""
+    """Summing into one value's gradient must not change another's."""
     x0 = np.array([[1.5, -2.0], [0.25, 3.0]])
     tape = ad.Tape()
     x = tape.leaf(x0)
@@ -372,9 +412,9 @@ def test_fan_out_sums_gradients_without_aliasing():
 # ------------------------------- fast paths against the plain arithmetic
 
 @pytest.mark.parametrize("idx", [
-    [0, 2, 3, 6],        # strictly increasing: scattered into zeros
-    [1, 1, 4, 0, 4, 4],  # repeated: summed by bincount
-    [5, 3, 0],           # distinct but decreasing: summed by bincount
+    [0, 2, 3, 6],        # strictly increasing
+    [1, 1, 4, 0, 4, 4],  # repeated: summed in index order
+    [5, 3, 0],           # distinct but decreasing
 ])
 def test_gather_cols_matches_the_bincount_adjoint_bit_for_bit(idx):
     rng = np.random.default_rng(40)
@@ -392,7 +432,7 @@ def _fan_in(tape, x0, w0, y0):
     """Leaves x, w, y and a loss in which x takes three contributions.
 
     ``add(x, y)`` is recorded last among x's consumers, so x's first
-    contribution is the very array the add also hands to y. A fourth term,
+    contribution comes from the add that also feeds y. A fourth term,
     through ``scale(x, 0.0)``, has an all-zero gradient that the sweep skips.
     """
     x, w, y = tape.leaf(x0), tape.leaf(w0), tape.leaf(y0)
@@ -419,10 +459,30 @@ def test_in_place_sweep_matches_the_out_of_place_sweep_bit_for_bit():
     backward_out_of_place(slow_tape, slow_loss)
     for got, want in zip(fast, slow):
         assert same_bits(got.grad, want.grad)
-    # y's gradient is the array x borrowed first; summing into x left it alone
+    # x's first contribution came from the add that feeds y; summing into x
+    # left y's gradient alone
     x, w, y = fast
     residual = w.value @ (x0 + y0)
     assert same_bits(y.grad, w.value.T @ (2.0 * residual))
+
+
+@pytest.mark.parametrize("op_name", SWEEP_OPS + ["fan_in"])
+def test_no_two_values_share_a_gradient_array(op_name):
+    rng = _sweep_rng(op_name)
+    tape = ad.Tape()
+    if op_name == "fan_in":
+        _, loss = _fan_in(tape, rng.standard_normal((4, 3)), rng.standard_normal((5, 4)),
+                          rng.standard_normal((4, 3)))
+    else:
+        loss = _loss_through(op_name, tape, tape.leaf(_sweep_input(op_name, rng)))
+    values = list({id(v): v for node in tape._nodes
+                   for v in (node.out, *node.parents)}.values())
+    tape.backward(loss)
+    grads = [v._grad for v in values if v._grad is not None]
+    assert len(grads) >= 3
+    for k, a in enumerate(grads):
+        for b in grads[k + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_zero_gradient_skip_reads_past_a_zero_first_entry():

@@ -1,5 +1,7 @@
 """Trainer tests: Adam mechanics, safety invariants, determinism, evaluation."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,39 @@ class TestTrainLoop:
         history = train(model, dataset, config)
         assert len(history) < 300
         assert np.isfinite(history.records[-1].val_nmse)
+
+    def test_early_stopping_counts_epochs_since_the_last_real_improvement(self,
+                                                                          monkeypatch):
+        # epochs 0 and 1 improve; epoch 2 scores exactly 1e-12 below the
+        # best, which is no improvement, so at patience 3 training stops
+        # after epoch 4, three epochs past epoch 1
+        scripted = iter([1.0, 0.5, 0.5 - 1e-12])
+        monkeypatch.setattr(trainer, "nmse", lambda preds, truths: next(scripted, 0.5))
+        history = train(small_model(), small_dataset(),
+                        small_config(epochs=20, early_stop=True, patience=3))
+        assert [r.val_nmse for r in history.records] == [1.0, 0.5, 0.5 - 1e-12, 0.5, 0.5]
+
+    def test_periodic_checkpoints_follow_every_nth_epoch_and_the_end(self, monkeypatch,
+                                                                     tmp_path):
+        steps, saved_after = [], []
+        original = trainer.adam_step
+        monkeypatch.setattr(trainer, "adam_step",
+                            lambda *args: steps.append(1) or original(*args))
+        monkeypatch.setattr(trainer, "save_checkpoint",
+                            lambda *args: saved_after.append(len(steps)))
+        train(small_model(), small_dataset(), small_config(epochs=5),
+              checkpoint_path=tmp_path / "run.ckpt", checkpoint_every=2)
+        assert saved_after == [2, 4, 5]  # one full-batch step per epoch
+
+    def test_iteration_counts_steps_and_wall_time_measures_each(self):
+        started = time.perf_counter()
+        history = train(small_model(), small_dataset(),
+                        small_config(epochs=3, batch_size=1))
+        elapsed = time.perf_counter() - started
+        assert [r.iteration for r in history.records] == list(range(len(history)))
+        walls = [r.wall_time for r in history.records]
+        assert all(w > 0.0 for w in walls)
+        assert sum(walls) <= elapsed
 
     def test_validation_forms_the_effective_matrix_once_per_pass(self, monkeypatch):
         # validation takes S^-1 K S from the next step's tape, so training
