@@ -1,7 +1,13 @@
 """Minimal reverse-mode automatic differentiation over dense matrices.
 
-Everything is a 2-D float64 array: vectors are (n, 1) columns, scalars are
-(1, 1), and :meth:`Tape.leaf` refuses any other rank. Operations record
+Everything is a 2-D float array: vectors are (n, 1) columns, scalars are
+(1, 1), and :meth:`Tape.leaf` refuses any other rank. A value is float32
+or float64, and each gradient has its value's dtype. An operation computes
+in its operands' dtype, so a model can run its MLP layers in float32 while
+the matrices it differentiates through an inverse stay float64: :func:`cast`
+hands a value from one precision to the other and casts its gradient back,
+and :func:`gather_sq_dist` sums in float64 whatever its operands' dtype,
+so a loss built from its terms is float64. Operations record
 themselves on a :class:`Tape` in execution order, which is automatically a
 topological order, so a backward pass is a single reverse sweep. Gradients
 accumulate (sum) across fan-out; a fresh tape is used per training step, so
@@ -34,8 +40,8 @@ are those of :func:`gather_cols` -> :func:`sub` -> :func:`sum_sq_norm`, bit
 for bit.
 
 A training step records only :func:`dense`, :func:`matmul`,
-:func:`matinv`, :func:`gather_cols`, :func:`gather_sq_dist`, :func:`add`
-and :func:`scale`.
+:func:`matinv`, :func:`cast`, :func:`gather_cols`, :func:`gather_sq_dist`,
+:func:`add` and :func:`scale`.
 
 Only the operations needed to train small fully-connected networks and to
 differentiate through products like ``inv(S) @ K @ S`` are provided. There
@@ -52,6 +58,9 @@ import numpy as np
 from .errors import ContractError, DimensionError, SingularMatrixError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
+
+# the precisions a value may have; a leaf of any other dtype becomes float64
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 COND_CAP = 1e8
 
@@ -98,8 +107,13 @@ class Tape:
         self._backward_done = False
 
     def leaf(self, value) -> DiffValue:
-        """Register a copy of a 2-D input (parameter or data constant) on this tape."""
-        arr = np.array(value, dtype=np.float64, copy=True, order="C")
+        """Register a copy of a 2-D input (parameter or data constant) on this tape.
+
+        A float32 or float64 input keeps its dtype; any other becomes float64.
+        """
+        arr = np.asarray(value)
+        dtype = arr.dtype if arr.dtype in FLOAT_DTYPES else np.float64
+        arr = np.array(arr, dtype=dtype, copy=True, order="C")
         if arr.ndim != 2:
             raise DimensionError(f"a leaf must be 2-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -128,7 +142,7 @@ class Tape:
 
         nodes, self._nodes = self._nodes, []
         self._released = len(nodes)
-        loss._grad = np.ones((1, 1))
+        loss._grad = np.ones((1, 1), loss.value.dtype)
         while nodes:
             node = nodes.pop()
             g = node.out._grad
@@ -167,6 +181,20 @@ def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
         return g @ bv.T, av.T @ g
 
     return tape._record(out, (a, b), backward_fn)
+
+
+def cast(a: DiffValue, dtype) -> DiffValue:
+    """``a`` in another float precision; its gradient returns in ``a``'s dtype.
+
+    A value that already has ``dtype`` is returned as it is, and nothing is
+    recorded.
+    """
+    tape = _same_tape(a)
+    if a.value.dtype == dtype:
+        return a
+    out = DiffValue(a.value.astype(dtype), tape)
+    back = a.value.dtype
+    return tape._record(out, (a,), lambda g: (g.astype(back),))
 
 
 def checked_inverse(a: np.ndarray) -> np.ndarray:
@@ -330,11 +358,13 @@ def _scatter_cols(g: np.ndarray, idx: np.ndarray, cols: int) -> np.ndarray:
     """The adjoint of ``a[:, idx]`` for an ``a`` with ``cols`` columns: g's scatter-add.
 
     One bincount over all rows; each entry sums its columns in index order,
-    starting from 0.0, so a -0.0 in ``g`` scatters as +0.0.
+    starting from 0.0, so a -0.0 in ``g`` scatters as +0.0. bincount sums in
+    float64; the result has g's dtype.
     """
     rows = g.shape[0]
     flat = (idx + cols * np.arange(rows)[:, None]).ravel()
-    return np.bincount(flat, weights=g.ravel(), minlength=rows * cols).reshape(rows, cols)
+    out = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)
+    return out.astype(g.dtype, copy=False).reshape(rows, cols)
 
 
 def gather_cols(a: DiffValue, indices) -> DiffValue:
@@ -347,12 +377,14 @@ def gather_cols(a: DiffValue, indices) -> DiffValue:
 
 
 def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
-    """Squared distance ``||a[:, indices] - b||^2`` as a (1, 1) scalar.
+    """Squared distance ``||a[:, indices] - b||^2`` as a (1, 1) float64 scalar.
 
     No array of its own outlives the call: the adjoint gathers the
-    residual again from ``a`` and ``b``, which are never written. The value
-    and both gradients are the float operations of
-    ``sum_sq_norm(sub(gather_cols(a, indices), b))`` in the same order.
+    residual again from ``a`` and ``b``, which are never written. The
+    residual and its squares are in the operands' dtype, their sum is
+    accumulated in float64, and the gradients have the operands' dtype. For
+    float64 operands the value and both gradients are the float operations
+    of ``sum_sq_norm(sub(gather_cols(a, indices), b))`` in the same order.
     """
     tape = _same_tape(a, b)
     idx = _column_indices(a, indices, "gather_sq_dist")
@@ -367,11 +399,12 @@ def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
         return r
 
     r = residual()
-    out = DiffValue(np.array([[np.sum(r * r)]]), tape)
+    out = DiffValue(np.array([[np.sum(r * r, dtype=np.float64)]]), tape)
 
     def backward_fn(g):
         gr = residual()
-        gr *= 2.0 * g[0, 0]
+        # a Python float keeps a float32 residual's loop in float32
+        gr *= float(2.0 * g[0, 0])
         return _scatter_cols(gr, idx, av.shape[1]), -gr
 
     return tape._record(out, (a, b), backward_fn)

@@ -19,10 +19,12 @@ evaluated for all windows in one stacked pass, so it runs as a handful of
 matrix products instead of a Python loop per window. The test suite checks
 it against a per-window, per-step reference loss.
 
-Checkpoints are self-describing text: layer sizes, activation kinds, every
-matrix with repr-exact floats, plus optional preprocessing record and config
-key/value pairs. Round-trips are bit-exact. Loading refuses a repeated or
-unknown entry and a matrix the model does not use.
+Checkpoints are self-describing text: layer sizes, activation kinds, the
+MLP dtype, every matrix with repr-exact floats, plus optional preprocessing
+record and config key/value pairs. Round-trips are bit-exact. Loading
+refuses a repeated or unknown entry and a matrix the model does not use,
+and reads a checkpoint without an ``mlp-dtype`` line, written before the
+line existed, as a float64 model.
 """
 
 from __future__ import annotations
@@ -74,16 +76,21 @@ class MlpParams:
 
     @classmethod
     def init(cls, sizes: Sequence[int], activation: str = "tanh",
-             rng: np.random.Generator | None = None) -> "MlpParams":
-        """Xavier-uniform weights, zero biases."""
+             rng: np.random.Generator | None = None,
+             dtype=np.float32) -> "MlpParams":
+        """Xavier-uniform weights, zero biases, in ``dtype``.
+
+        The weights are drawn in float64 and then cast, so the draws do not
+        depend on ``dtype``.
+        """
         if len(sizes) < 2:
             raise DimensionError("an MLP needs at least input and output sizes")
         rng = rng if rng is not None else np.random.default_rng(0)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-            biases.append(np.zeros((fan_out, 1)))
+            weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype))
+            biases.append(np.zeros((fan_out, 1), dtype))
         return cls(weights=weights, biases=biases, activation=activation)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
@@ -98,7 +105,12 @@ class MlpParams:
 
 @dataclass
 class KoopmanModel:
-    """Encoder, decoder, transition matrix K, and change of basis S."""
+    """Encoder, decoder, transition matrix K, and change of basis S.
+
+    The encoder and decoder arrays share one dtype, float32 or float64:
+    the model's ``dtype``, in which its MLP layers and the lifted rollout
+    run. K and S are float64 whatever it is.
+    """
 
     encoder: MlpParams
     decoder: MlpParams
@@ -114,6 +126,17 @@ class KoopmanModel:
                 f"sizes {self.encoder.layer_sizes}")
         if self.K.shape != (d, d) or self.S.shape != (d, d):
             raise DimensionError(f"K and S must be ({d}, {d}) to match the encoder")
+        dtypes = {a.dtype for mlp in (self.encoder, self.decoder)
+                  for a in (*mlp.weights, *mlp.biases)}
+        if len(dtypes) != 1 or not dtypes <= set(ad.FLOAT_DTYPES):
+            raise ContractError(
+                f"encoder and decoder arrays must all be float32 or all float64, "
+                f"got {sorted(map(str, dtypes))}")
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every encoder and decoder array."""
+        return self.encoder.weights[0].dtype
 
     @property
     def n(self) -> int:
@@ -126,8 +149,8 @@ class KoopmanModel:
     @classmethod
     def init(cls, n: int, d: int, hidden: Sequence[int] = (50, 50, 50),
              activation: str = "tanh", seed: int = 0,
-             k_init: str = "certified") -> "KoopmanModel":
-        """Fresh model: mirrored encoder/decoder, near-identity K and S.
+             k_init: str = "certified", dtype=np.float32) -> "KoopmanModel":
+        """Fresh model: mirrored encoder/decoder in ``dtype``, near-identity K and S.
 
         ``k_init='certified'`` starts at 0.99 I (stability margin 0.01), so
         the constraint thresholds are pinned at zero from the first step;
@@ -135,8 +158,8 @@ class KoopmanModel:
         stability condition.
         """
         rng = np.random.default_rng(seed)
-        encoder = MlpParams.init([n, *hidden, d], activation, rng)
-        decoder = MlpParams.init([d, *reversed(list(hidden)), n], activation, rng)
+        encoder = MlpParams.init([n, *hidden, d], activation, rng, dtype)
+        decoder = MlpParams.init([d, *reversed(list(hidden)), n], activation, rng, dtype)
         if k_init == "certified":
             K = 0.99 * np.eye(d)
         elif k_init == "infeasible":
@@ -147,7 +170,8 @@ class KoopmanModel:
         return cls(encoder=encoder, decoder=decoder, K=K, S=S)
 
     def _run(self, mlp: MlpParams, x, expected: int) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
+        # an input of another dtype would promote every layer to it
+        arr = np.asarray(x, dtype=self.dtype)
         single = arr.ndim == 1
         cols = arr.reshape(-1, 1) if single else arr
         if cols.ndim != 2 or cols.shape[0] != expected:
@@ -173,9 +197,10 @@ class KoopmanModel:
         ``x0`` is one (n,) state and ``n_steps`` an int; a stack of states or
         a count of another type raises ``DimensionError``, and a count below 1
         ``ContractError``. A caller that already holds this model's S^-1 K S
-        passes it as ``Keff``, and it is not formed again.
+        passes it as ``Keff``, and it is not formed again. The rollout runs in
+        the model's dtype.
         """
-        x0 = np.asarray(x0, dtype=np.float64)
+        x0 = np.asarray(x0, dtype=self.dtype)
         if x0.ndim != 1 or not isinstance(n_steps, (int, np.integer)):
             raise DimensionError(f"expected one initial state and an int step count, "
                                  f"got state shape {x0.shape} and count {n_steps!r}")
@@ -183,8 +208,9 @@ class KoopmanModel:
             raise ContractError(f"n_steps must be >= 1, got {n_steps}")
         if Keff is None:
             Keff = self.effective_matrix()
+        Keff = Keff.astype(self.dtype, copy=False)
         z = self.encode(x0)
-        lifted = np.empty((n_steps, self.d))
+        lifted = np.empty((n_steps, self.d), self.dtype)
         for k in range(n_steps):
             z = np.matmul(Keff, z, out=lifted[k])
         return self.decode(lifted.T).T
@@ -284,20 +310,21 @@ def tape_bytes(model: KoopmanModel, n_samples: int, n_windows: int,
                horizon: int) -> int:
     """Bytes of the arrays a training step's tape holds, with every loss term on.
 
-    The parameter leaves. Per sample: the data, every encoder layer and, for
-    the rec term, every decoder layer. Per window: the H + 1 lifted
-    iterates, the rec term's H + 1 gathered data targets and, for the pred
-    term, every decoder layer at each of the H steps. Per d x d: S^-1,
-    S^-1 K and S^-1 K S.
+    In the model's dtype: the encoder and decoder leaves. Per sample: the
+    data, every encoder layer and, for the rec term, every decoder layer.
+    Per window: the H + 1 lifted iterates, the rec term's H + 1 gathered
+    data targets and, for the pred term, every decoder layer at each of the
+    H steps. A float32 model adds S^-1 K S cast to float32. In float64: the
+    K and S leaves, S^-1, S^-1 K and S^-1 K S.
     """
     n, d = model.n, model.d
     enc = sum(model.encoder.layer_sizes[1:])
     dec = sum(model.decoder.layer_sizes[1:])
-    floats = (sum(p.size for p in model.get_params().values())
-              + n_samples * (n + enc + dec)
-              + n_windows * ((horizon + 1) * (d + n) + horizon * dec)
-              + 3 * d * d)
-    return 8 * floats
+    mlp_floats = (sum(p.size for p in model.get_params().values()) - 2 * d * d
+                  + n_samples * (n + enc + dec)
+                  + n_windows * ((horizon + 1) * (d + n) + horizon * dec)
+                  + (d * d if model.dtype != np.float64 else 0))
+    return model.dtype.itemsize * mlp_floats + 8 * 5 * d * d
 
 
 def sliding_window_loss(bound: BoundModel, batch: Sequence,
@@ -331,13 +358,13 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
             f"record {needed / 2**30:.3g} GiB on the tape, more than the "
             f"{MAX_TAPE_BYTES / 2**30:g} GiB limit; lower batch_size (trajectories "
             f"per step) or train on shorter trajectories")
-    X_all = np.vstack(arrays).T
+    X_all = np.vstack(arrays, dtype=bound.model.dtype).T
     starts = np.concatenate([
         off + np.arange(X.shape[0] - H) for off, X in zip(offsets, arrays)])
 
     X_leaf = bound.tape.leaf(X_all)
     Psi_all = bound.encode(X_leaf)
-    Keff = bound.effective()
+    Keff = ad.cast(bound.effective(), bound.model.dtype)
 
     z = ad.gather_cols(Psi_all, starts)
     pred_total = None
@@ -378,6 +405,8 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
 CHECKPOINT_HEADER = "koopstab-checkpoint v1"
 _META_KEYS = ("encoder-activation", "decoder-activation", "encoder-layers",
               "decoder-layers")
+# optional: a checkpoint without it holds a float64 MLP
+_DTYPE_KEY = "mlp-dtype"
 
 
 def _write_matrix(lines: list[str], name: str, arr: np.ndarray) -> None:
@@ -393,6 +422,7 @@ def save_checkpoint(path, model: KoopmanModel,
     lines = [CHECKPOINT_HEADER]
     lines.append(f"encoder-activation {model.encoder.activation}")
     lines.append(f"decoder-activation {model.decoder.activation}")
+    lines.append(f"{_DTYPE_KEY} {model.dtype}")
     lines.append(f"encoder-layers {len(model.encoder.weights)}")
     lines.append(f"decoder-layers {len(model.decoder.weights)}")
     lines.extend(f"config {key} {value}" for key, value in (config or {}).items())
@@ -454,7 +484,7 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
             i += rows
         elif tokens[0] == "preproc-dt":
             dt = parse_row(tokens[1:], path, i, 1, "preproc-dt")[0]
-        elif tokens[0] in _META_KEYS:
+        elif tokens[0] in (*_META_KEYS, _DTYPE_KEY):
             meta[tokens[0]] = line.split(None, 1)[1] if len(tokens) > 1 else ""
         else:
             raise ParseError(f"unknown entry {tokens[0]!r}", path=path, line=i)
@@ -462,11 +492,22 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
     for key in _META_KEYS:
         if key not in meta:
             raise ParseError(f"missing key {key}", path=path)
+    dtype = meta.get(_DTYPE_KEY, "float64")
+    if dtype not in map(str, ad.FLOAT_DTYPES):
+        raise ParseError(f"{_DTYPE_KEY} must be float32 or float64, got {dtype!r}",
+                         path=path)
+
+    def mlp_array(name: str) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            arr = matrices.pop(name).astype(dtype)
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"matrix {name} overflows {dtype}", path=path)
+        return arr
 
     def build_mlp(prefix: str) -> MlpParams:
         count = _parse_count(meta[f"{prefix}-layers"], f"{prefix}-layers", path)
-        return MlpParams(weights=[matrices.pop(f"{prefix}.w{k}") for k in range(count)],
-                         biases=[matrices.pop(f"{prefix}.b{k}") for k in range(count)],
+        return MlpParams(weights=[mlp_array(f"{prefix}.w{k}") for k in range(count)],
+                         biases=[mlp_array(f"{prefix}.b{k}") for k in range(count)],
                          activation=meta[f"{prefix}-activation"])
 
     try:

@@ -190,7 +190,8 @@ def _op_check(arrays, build):
 
 def _param_group_check(rng):
     """Worst finite-difference error over the four loss parameter groups."""
-    model = KoopmanModel.init(n=2, d=3, hidden=(4,), seed=int(rng.integers(1e6)))
+    model = KoopmanModel.init(n=2, d=3, hidden=(4,), seed=int(rng.integers(1e6)),
+                              dtype=np.float64)
     model.K = 0.5 * np.eye(3) + 0.1 * rng.normal(size=(3, 3))
     batch = [rng.normal(scale=0.6, size=(7, 2)), rng.normal(scale=0.6, size=(6, 2))]
     weights = LossWeights(horizon=3)

@@ -387,6 +387,41 @@ def test_tape_length_counts_released_nodes():
         tape.backward(loss)  # released tapes stay single-use
 
 
+@pytest.mark.parametrize("given, kept", [(np.float32, np.float32), (np.float64, np.float64),
+                                         (np.int64, np.float64), (np.float16, np.float64)])
+def test_leaf_keeps_a_float32_or_float64_dtype(given, kept):
+    assert ad.Tape().leaf(np.ones((2, 3), dtype=given)).value.dtype == kept
+
+
+def test_cast_hands_a_value_over_and_its_gradient_back():
+    rng = np.random.default_rng(31)
+    tape = ad.Tape()
+    a = tape.leaf(rng.standard_normal((3, 3)))
+    x = tape.leaf(rng.standard_normal((3, 4)).astype(np.float32))
+    assert ad.cast(a, np.float64) is a and len(tape) == 0
+    a32 = ad.cast(a, np.float32)
+    assert same_bits(a32.value.astype(np.float64), a.value.astype(np.float32).astype(np.float64))
+    y = ad.matmul(a32, x)
+    target = tape.leaf(rng.standard_normal((3, 2)).astype(np.float32))
+    loss = ad.gather_sq_dist(y, [3, 1], target)
+    # the squares are float32, their sum float64
+    r = y.value[:, [3, 1]] - target.value
+    assert loss.value.dtype == np.float64
+    assert loss.value[0, 0] == np.sum(r * r, dtype=np.float64)
+    tape.backward(loss)
+    for v, dtype in ((a, np.float64), (a32, np.float32), (x, np.float32),
+                     (y, np.float32), (target, np.float32)):
+        assert v.grad.dtype == dtype
+    assert same_bits(a.grad, a32.grad.astype(np.float64))
+
+
+def test_float32_scatter_keeps_its_dtype():
+    g = np.arange(6, dtype=np.float32).reshape(2, 3)
+    out = ad._scatter_cols(g, np.array([2, 0, 2]), 4)
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out, [[1, 0, 2, 0], [4, 0, 8, 0]])
+
+
 def test_add_of_a_value_to_itself_doubles_its_gradient():
     x0 = np.array([[1.5, -2.0], [0.25, 3.0]])
     tape = ad.Tape()

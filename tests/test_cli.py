@@ -280,6 +280,24 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_default_run_trains_and_saves_a_float32_mlp(self, tmp_path):
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "model.ckpt"
+        assert "mlp-dtype float32" in ckpt.read_text().splitlines()
+        assert load_checkpoint(ckpt)[0].dtype == np.float32
+
+    # 1e20 weights square past float32's range in the next forward pass;
+    # a 1e39 step does not fit a float32 weight at all
+    @pytest.mark.parametrize("lr, message", [("1e20", "loss became non-finite"),
+                                             ("1e39", "left parameter")])
+    def test_float32_divergence_exits_3_without_a_traceback(self, tmp_path, capsys,
+                                                            lr, message):
+        cfg = write_config(tmp_path, lr=lr)
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("lr", ["1e150", "1e200"])
     def test_forward_overflow_after_a_huge_step_exits_3(self, tmp_path, capsys, lr):
         # the first step's parameters overflow the next step's forward pass;
@@ -337,7 +355,8 @@ class TestTrainCommand:
         assert f"more than {MAX_GRID_STEPS}" in capsys.readouterr().err
 
     def test_batch_over_the_tape_limit_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(koopstab.model, "MAX_TAPE_BYTES", 1 << 16)
+        # a float32 step of two trajectories records 43,976 bytes
+        monkeypatch.setattr(koopstab.model, "MAX_TAPE_BYTES", 1 << 15)
         cfg = write_config(tmp_path, batch_size=2)
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
@@ -671,6 +690,21 @@ class TestEvalCommand:
     def test_splits_the_data_by_the_runs_n_val(self, tmp_path, capsys, source, n_val):
         # with n_val = 0 both commands score the train split
         self.reports_metrics_nmse(tmp_path, capsys, source, seed=3, n_val=n_val)
+
+    def test_float64_checkpoint_without_a_dtype_line_reports_its_nmse(self, capsys):
+        """A checkpoint written before checkpoints recorded the MLP dtype (a
+        3-epoch float64 spiral run at seed 5) scores the NMSE of its metrics.csv."""
+        run = Path(__file__).parent / "fixtures" / "float64_run"
+        nmse = next(float(line.split(",")[1]) for line in
+                    (run / "metrics.csv").read_text().splitlines()
+                    if line.startswith("nmse,"))
+        assert main(["eval", str(run / "model.ckpt")]) == 0
+        assert f"nmse            {nmse:.6g}\n" in capsys.readouterr().out
+        model, pre, _ = load_checkpoint(run / "model.ckpt")
+        assert model.dtype == np.float64
+        raw = synth_stable_spiral(seed=5, n_val=1)
+        dataset = replace(raw.map_states(pre.apply), preprocessing=pre)
+        assert evaluate(model, dataset).nmse == nmse
 
     @pytest.mark.parametrize("seed_line", [True, False])
     def test_older_checkpoint_scores_with_default_settings(self, tmp_path, capsys,

@@ -40,8 +40,9 @@ from helpers import (
 )
 
 
-def tiny_model(seed=0, n=2, d=3, hidden=(4,), k_init="certified"):
-    return KoopmanModel.init(n=n, d=d, hidden=hidden, seed=seed, k_init=k_init)
+def tiny_model(seed=0, n=2, d=3, hidden=(4,), k_init="certified", dtype=np.float32):
+    return KoopmanModel.init(n=n, d=d, hidden=hidden, seed=seed, k_init=k_init,
+                             dtype=dtype)
 
 
 def linear_identity_model(A):
@@ -131,6 +132,13 @@ class TestMlpParams:
             MlpParams(weights=[np.zeros((2, 2))], biases=[np.zeros((2, 1))],
                       activation="softsign")
 
+    def test_init_draws_the_same_weights_in_either_dtype(self):
+        a = MlpParams.init([2, 5, 3], rng=np.random.default_rng(4), dtype=np.float32)
+        b = MlpParams.init([2, 5, 3], rng=np.random.default_rng(4), dtype=np.float64)
+        for arr32, arr64 in zip(a.weights + a.biases, b.weights + b.biases):
+            assert arr32.dtype == np.float32 and arr64.dtype == np.float64
+            np.testing.assert_array_equal(arr32, arr64.astype(np.float32))
+
     def test_xavier_init_is_seeded(self):
         a = MlpParams.init([2, 5, 3], rng=np.random.default_rng(4))
         b = MlpParams.init([2, 5, 3], rng=np.random.default_rng(4))
@@ -153,10 +161,23 @@ class TestKoopmanModelShapes:
         with pytest.raises(DimensionError, match=r"K and S must be \(3, 3\)"):
             KoopmanModel(encoder=m.encoder, decoder=m.decoder, **mats)
 
+    @pytest.mark.parametrize("first, rest", [(np.float64, np.float32),
+                                             (np.float32, np.float64),
+                                             (np.int64, np.int64),
+                                             (np.float16, np.float16)])
+    def test_mlp_arrays_must_share_one_float_dtype(self, first, rest):
+        m = tiny_model()
+        ew, eb, dw, db = ([a.astype(rest) for a in arrays] for arrays in (
+            m.encoder.weights, m.encoder.biases, m.decoder.weights, m.decoder.biases))
+        ew[0] = ew[0].astype(first)
+        with pytest.raises(ContractError, match="must all be float32 or all float64"):
+            KoopmanModel(encoder=MlpParams(ew, eb), decoder=MlpParams(dw, db),
+                         K=m.K, S=m.S)
+
 
 class TestEncodeDecode:
     def test_vector_and_batch_agree(self):
-        m = tiny_model()
+        m = tiny_model(dtype=np.float64)
         x = np.array([0.3, -0.4])
         single = m.encode(x)
         batch = m.encode(np.column_stack([x, 2.0 * x]))
@@ -315,7 +336,7 @@ class TestLosses:
 
     def test_horizon_one_is_one_step_error(self):
         rng = np.random.default_rng(61)
-        m = tiny_model(seed=3)
+        m = tiny_model(seed=3, dtype=np.float64)
         states = rng.normal(size=(3, 2))
         bound = BoundModel(Tape(), m)
         got = float(loss_pred(bound, states, 1).value[0, 0])
@@ -323,7 +344,7 @@ class TestLosses:
         assert got == pytest.approx(np.sum((states[1] - pred1) ** 2), rel=1e-12)
 
     def test_rec_supports_single_sample(self):
-        m = tiny_model(seed=4)
+        m = tiny_model(seed=4, dtype=np.float64)
         states = np.array([[0.5, -0.5]])
         bound = BoundModel(Tape(), m)
         rec = float(loss_rec(bound, states).value[0, 0])
@@ -373,7 +394,7 @@ class TestLosses:
 class TestSlidingWindowLoss:
     def test_matches_explicit_window_batch(self):
         rng = np.random.default_rng(70)
-        m = tiny_model(seed=8)
+        m = tiny_model(seed=8, dtype=np.float64)
         trajs = [rng.normal(size=(7, 2)), rng.normal(size=(6, 2))]
         w = LossWeights(pred=1.0, lin=0.1, rec=1.0, horizon=2)
         fast = float(sliding_window_loss(BoundModel(Tape(), m), trajs,
@@ -385,7 +406,7 @@ class TestSlidingWindowLoss:
 
     def test_gradients_match_explicit_window_batch(self):
         rng = np.random.default_rng(71)
-        m = tiny_model(seed=9)
+        m = tiny_model(seed=9, dtype=np.float64)
         trajs = [rng.normal(size=(6, 2))]
         w = LossWeights(pred=1.0, lin=0.5, rec=0.3, horizon=2)
         tape_fast = Tape()
@@ -403,36 +424,55 @@ class TestSlidingWindowLoss:
         """Each MLP layer is one node: 4 encoder and 11 x 4 decoder layers of 107.
 
         Each step's lin and pred terms, and the rec term, are one
-        ``gather_sq_dist`` node each.
+        ``gather_sq_dist`` node each. A float32 model adds one ``cast`` of
+        S^-1 K S.
         """
         dataset = synth_handwriting_like(seed=7)
-        m = KoopmanModel.init(n=dataset.dim, d=20, hidden=(50, 50, 50), seed=7)
-        tape = Tape()
-        sliding_window_loss(BoundModel(tape, m), [t.states for t in dataset.train],
-                            LossWeights(horizon=10))
-        assert len(tape) == 107
+        for dtype, nodes in ((np.float32, 108), (np.float64, 107)):
+            m = KoopmanModel.init(n=dataset.dim, d=20, hidden=(50, 50, 50), seed=7,
+                                  dtype=dtype)
+            tape = Tape()
+            sliding_window_loss(BoundModel(tape, m), [t.states for t in dataset.train],
+                                LossWeights(horizon=10))
+            assert len(tape) == nodes, dtype
 
     def test_wide_step_tape_holds_what_tape_bytes_counts(self):
-        """d=200, two trajectories, H=10: 9.7 MB live while every term kept
-        its residual and its gathered lin targets, 5.1 MB since."""
+        """d=200, two trajectories, H=10: 9.7 MB live in float64 while every
+        term kept its residual and its gathered lin targets, 5.1 MB since,
+        and 3.8 MB in float32."""
         dataset = synth_handwriting_like(n_traj=12, noise=0.5, seed=3, n_val=2)
         batch = [t.states for t in dataset.train][:2]
-        m = KoopmanModel.init(n=dataset.dim, d=200, hidden=(32, 32), seed=3,
-                              k_init="infeasible")
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            bound = BoundModel(Tape(), m)
-            bound_at = tracemalloc.get_traced_memory()[0]
-            loss = sliding_window_loss(bound, batch, LossWeights(horizon=10))
-            live = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert live - bound_at < 6e6
         n_samples = sum(len(states) for states in batch)
-        estimate = tape_bytes(m, n_samples, n_samples - 2 * 10, 10)
-        assert 0.9 < estimate / (live - start) < 1.1
-        assert loss.value.shape == (1, 1)
+        for dtype in (np.float32, np.float64):
+            m = KoopmanModel.init(n=dataset.dim, d=200, hidden=(32, 32), seed=3,
+                                  k_init="infeasible", dtype=dtype)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                bound = BoundModel(Tape(), m)
+                bound_at = tracemalloc.get_traced_memory()[0]
+                loss = sliding_window_loss(bound, batch, LossWeights(horizon=10))
+                live = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert live - bound_at < 6e6
+            estimate = tape_bytes(m, n_samples, n_samples - 2 * 10, 10)
+            assert 0.9 < estimate / (live - start) < 1.1, dtype
+            assert loss.value.shape == (1, 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tape_bytes_counts_every_array_the_tape_records(self, dtype):
+        """Every recorded value and leaf but the (1, 1) loss scalars, each at
+        its own itemsize."""
+        rng = np.random.default_rng(73)
+        m = tiny_model(seed=12, dtype=dtype)
+        tape = Tape()
+        sliding_window_loss(BoundModel(tape, m),
+                            [rng.normal(size=(7, 2)), rng.normal(size=(6, 2))],
+                            LossWeights(horizon=2))
+        values = {id(v): v for node in tape._nodes for v in (node.out, *node.parents)}
+        held = sum(v.value.nbytes for v in values.values() if v.value.shape != (1, 1))
+        assert held == tape_bytes(m, 13, 9, 2)
 
     def test_batch_over_the_tape_limit_is_refused_before_recording(self, monkeypatch):
         rng = np.random.default_rng(73)
@@ -464,12 +504,97 @@ class TestSlidingWindowLoss:
         assert bound.effective() is first
 
 
+def _cast_up(m):
+    """The same model with its encoder and decoder arrays cast to float64."""
+    def up(mlp):
+        return MlpParams([w.astype(np.float64) for w in mlp.weights],
+                         [b.astype(np.float64) for b in mlp.biases], mlp.activation)
+    return KoopmanModel(encoder=up(m.encoder), decoder=up(m.decoder),
+                        K=m.K.copy(), S=m.S.copy())
+
+
+class TestPrecision:
+    def test_float32_is_the_default_and_k_and_s_stay_float64(self):
+        m = KoopmanModel.init(n=2, d=3, hidden=(4,))
+        assert m.dtype == np.float32
+        assert all(p.dtype == (np.float64 if name in ("K", "S") else np.float32)
+                   for name, p in m.get_params().items())
+
+    def test_encode_and_predict_run_in_the_models_dtype(self):
+        m = tiny_model(seed=2)
+        x = np.array([0.3, -0.4])
+        assert m.encode(x).dtype == np.float32
+        assert m.decode(np.zeros((3, 2))).dtype == np.float32
+        assert m.predict_states(x, 4).dtype == np.float32
+        # the rollout uses S^-1 K S rounded to float32, as the tape's does
+        Keff = m.effective_matrix()
+        assert same_bits(m.predict_states(x, 6, Keff=Keff).astype(np.float64),
+                         m.predict_states(x, 6, Keff=Keff.astype(np.float32))
+                         .astype(np.float64))
+        assert tiny_model(seed=2, dtype=np.float64).predict_states(x, 4).dtype == np.float64
+
+    @pytest.mark.parametrize("shape, horizon", [
+        (dict(n=2, d=20, hidden=(50, 50, 50)), 10),
+        (dict(n=2, d=3, hidden=(4,)), 3),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_gradients_match_the_float64_tape(self, shape, horizon, seed):
+        """Each float32 parameter gradient is within 1e-5 (rel_err) of the float64
+        tape's on the same parameters cast up, and the loss within 1e-6.
+
+        float32's machine epsilon is 1.19e-7; these cases reach 1.5e-6.
+        """
+        rng = np.random.default_rng(seed)
+        m32 = KoopmanModel.init(seed=seed, **shape)
+        # a non-scalar K makes the loss depend on S
+        m32.K[...] = 0.5 * np.eye(m32.d) + 0.1 * rng.normal(size=m32.K.shape)
+        batch = [rng.normal(scale=0.6, size=(2 * horizon + 1, 2)),
+                 rng.normal(scale=0.6, size=(horizon + 3, 2))]
+        results = []
+        for m in (m32, _cast_up(m32)):
+            tape = Tape()
+            bound = BoundModel(tape, m)
+            loss = sliding_window_loss(bound, batch, LossWeights(horizon=horizon))
+            tape.backward(loss)
+            results.append((float(loss.value[0, 0]), bound.gradients()))
+        (loss32, grads32), (loss64, grads64) = results
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        for name, g in grads32.items():
+            assert g.dtype == m32.get_params()[name].dtype, name
+            assert rel_err(g.astype(np.float64), grads64[name]) <= 1e-5, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_step_keeps_every_value_and_gradient_in_its_precision(self, dtype):
+        """MLP values and gradients in the model's dtype; K, S, S^-1, S^-1 K,
+        S^-1 K S and the loss scalars in float64, with their gradients."""
+        rng = np.random.default_rng(5)
+        m = tiny_model(seed=5, d=5, hidden=(7,), dtype=dtype)
+        tape = Tape()
+        bound = BoundModel(tape, m)
+        loss = sliding_window_loss(bound, [rng.normal(size=(9, 2)), rng.normal(size=(8, 2))],
+                                   LossWeights(horizon=3))
+        outs = [node.out for node in tape._nodes]
+        tape.backward(loss)
+        for name, leaf in bound.leaves.items():
+            want = np.float64 if name in ("K", "S") else dtype
+            assert leaf.value.dtype == want and leaf.grad.dtype == want, name
+        chain = [v for v in outs if v.value.shape == (5, 5) and v.value.dtype == np.float64]
+        assert len(chain) == 3 and chain[-1] is bound.effective()
+        for v in outs:
+            assert v.grad.dtype == v.value.dtype
+            if v.value.shape == (1, 1):
+                assert v.value.dtype == np.float64
+            elif not any(v is c for c in chain):
+                assert v.value.dtype == dtype, v.value.shape
+        assert loss.value.dtype == np.float64
+
+
 class TestGradientChecks:
     @pytest.mark.parametrize("name", ["encoder.w0", "encoder.b1", "decoder.w1",
                                       "decoder.b0", "K", "S"])
     def test_total_loss_gradient_matches_fd(self, name):
         rng = np.random.default_rng(72)
-        m = tiny_model(seed=10)
+        m = tiny_model(seed=10, dtype=np.float64)
         # a non-scalar K makes the loss genuinely depend on S
         m.K = 0.5 * np.eye(3) + 0.1 * rng.normal(size=(3, 3))
         batch = [rng.normal(size=(5, 2)), rng.normal(size=(4, 2))]
@@ -495,6 +620,52 @@ class TestCheckpoint:
         np.testing.assert_array_equal(pre2.offset, pre.offset)
         np.testing.assert_array_equal(pre2.scale, pre.scale)
         assert cfg2 == cfg
+
+    def test_float32_round_trip_is_bit_exact(self, tmp_path):
+        m = tiny_model(seed=11)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m)
+        assert "mlp-dtype float32" in path.read_text().splitlines()
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.dtype == np.float32
+        for name, arr in m.get_params().items():
+            assert same_bits(loaded.get_params()[name].astype(np.float64),
+                             arr.astype(np.float64)), name
+            assert loaded.get_params()[name].dtype == arr.dtype, name
+
+    def test_checkpoint_without_a_dtype_line_is_float64(self, tmp_path):
+        m = tiny_model(seed=11, dtype=np.float64)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(l for l in lines if l != "mlp-dtype float64") + "\n")
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.dtype == np.float64
+        for name, arr in m.get_params().items():
+            assert same_bits(loaded.get_params()[name], arr), name
+
+    @pytest.mark.parametrize("value", ["float16", "int64", "float", "nan", ""])
+    def test_bad_dtype_line_rejected(self, tmp_path, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(seed=14))
+        path.write_text(path.read_text().replace("mlp-dtype float32",
+                                                 f"mlp-dtype {value}"))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"{path}: mlp-dtype must be float32 or float64, "
+                                  f"got {value!r}")
+
+    def test_value_beyond_float32_rejected(self, tmp_path):
+        m = tiny_model(seed=14)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m)
+        lines = path.read_text().splitlines()
+        row = lines.index("matrix decoder.b0 4 1") + 2
+        lines[row] = "1e39"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: matrix decoder.b0 overflows float32"
 
     def test_blank_lines_between_entries_are_skipped(self, tmp_path):
         m = tiny_model(seed=11)

@@ -367,13 +367,18 @@ class TestTrainLoop:
         assert config["epochs"] == "4"
 
     def test_divergent_forward_raises_numeric_error(self):
-        # identity activations let a huge weight overflow the loss to inf
-        model = KoopmanModel.init(n=2, d=3, hidden=(4,), seed=3,
-                                  activation="identity")
-        model.encoder.weights[0][:] = 1e200
+        # identity activations let a huge weight overflow the loss to inf;
+        # each weight fits its dtype (1e200 would overflow in the cast to
+        # float32), and the forward's loss check names the overflow before
+        # any gradient exists
         dataset = small_dataset()
-        with np.errstate(over="ignore"), pytest.raises(NumericError):
-            train(model, dataset, small_config(epochs=2))
+        for dtype, weight in ((np.float64, 1e200), (np.float32, 1e30)):
+            model = KoopmanModel.init(n=2, d=3, hidden=(4,), seed=3,
+                                      activation="identity", dtype=dtype)
+            model.encoder.weights[0][:] = weight
+            with np.errstate(over="ignore"), pytest.raises(
+                    NumericError, match="loss became non-finite"):
+                train(model, dataset, small_config(epochs=2))
 
     def test_empty_train_split_rejected(self):
         dataset = small_dataset()
@@ -382,6 +387,17 @@ class TestTrainLoop:
                               preprocessing=dataset.preprocessing)
         with pytest.raises(DataError):
             train(small_model(), empty, small_config())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_keeps_each_parameters_dtype(self, dtype):
+        model = small_model(dtype=dtype)
+        params = model.get_params()
+        state = AdamState.init(params)
+        grads = {name: np.ones_like(p) for name, p in params.items()}
+        adam_step(params, grads, state, small_config())
+        for name, p in model.get_params().items():
+            want = np.float64 if name in ("K", "S") else dtype
+            assert p.dtype == state.m[name].dtype == state.v[name].dtype == want, name
 
     def test_training_writes_the_models_own_arrays(self):
         model = small_model()
