@@ -4,10 +4,11 @@ Everything is a 2-D float array: vectors are (n, 1) columns, scalars are
 (1, 1), and :meth:`Tape.leaf` refuses any other rank. A value is float32
 or float64, and each gradient has its value's dtype. An operation computes
 in its operands' dtype, so a model can run its MLP layers in float32 while
-the matrices it differentiates through an inverse stay float64: :func:`cast`
-hands a value from one precision to the other and casts its gradient back,
-and :func:`gather_sq_dist` sums in float64 whatever its operands' dtype,
-so a loss built from its terms is float64. Operations record
+the matrices it differentiates through an inverse stay float64:
+:func:`similarity` forms ``inv(S) @ K @ S`` from float64 ``S`` and ``K``,
+hands it over in another precision and returns float64 gradients, and
+:func:`gather_sq_dist` sums in float64 whatever its operands' dtype, so a
+loss built from its terms is float64. Operations record
 themselves on a :class:`Tape` in execution order, which is automatically a
 topological order, so a backward pass is a single reverse sweep. Gradients
 accumulate (sum) across fan-out; a fresh tape is used per training step, so
@@ -20,7 +21,9 @@ later ones are added into that array in place. The sweep releases each
 node once its adjoint is applied, so after :meth:`Tape.backward` the tape
 keeps no activations or closures, and reference counting frees a step's
 intermediates as soon as the caller drops them, without waiting for the
-cyclic garbage collector.
+cyclic garbage collector. A value refers to its tape weakly, so a tape
+dropped before its backward pass, with whatever it recorded, is freed the
+same way.
 
 A whole dense layer, ``act(w @ x + b)``, records as one operation,
 :func:`dense`. Its forward, :func:`dense_forward`, which the untaped
@@ -33,15 +36,20 @@ available as separate operations.
 
 A squared distance to gathered columns, ``||a[:, idx] - b||^2``, records
 as one operation too, :func:`gather_sq_dist`. It keeps no array of its
-own: the forward sums the squared residual and drops it, and the adjoint
-gathers the residual again (one ``np.take`` and a subtraction) instead of
-holding it on the tape until the backward pass. Its value and gradients
-are those of :func:`gather_cols` -> :func:`sub` -> :func:`sum_sq_norm`, bit
-for bit.
+own: the forward squares the residual in place, sums it and drops it, and
+the adjoint gathers the residual again (one ``np.take`` and a subtraction)
+instead of holding it on the tape until the backward pass. Its value and
+gradients are those of :func:`gather_cols` -> :func:`sub` ->
+:func:`sum_sq_norm`, bit for bit.
 
-A training step records only :func:`dense`, :func:`matmul`,
-:func:`matinv`, :func:`cast`, :func:`gather_cols`, :func:`gather_sq_dist`,
-:func:`add` and :func:`scale`.
+The lifted dynamics record as two operations: :func:`similarity`, whose
+value is that of :func:`matinv` -> :func:`matmul` -> :func:`matmul` bit for
+bit, and :func:`rollout`, whose ``steps`` blocks are the chained
+:func:`matmul` values bit for bit, side by side in one array.
+
+A training step records only :func:`dense`, :func:`similarity`,
+:func:`gather_cols`, :func:`rollout`, :func:`gather_sq_dist`, :func:`add`
+and :func:`scale`.
 
 Only the operations needed to train small fully-connected networks and to
 differentiate through products like ``inv(S) @ K @ S`` are provided. There
@@ -51,6 +59,7 @@ is no broadcasting beyond the explicit column-bias cases in
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,7 +81,10 @@ class DiffValue:
     after a backward pass from a scalar loss. No gradient array exists
     until the pass reaches the value; an unreached value reads as zeros.
     The array belongs to this value alone: no other value's gradient shares
-    its memory.
+    its memory, and the adjoints of :func:`dense` and :func:`rollout` use
+    their output's array as workspace, so after the pass it holds their
+    intermediate sums instead. The value refers to its tape weakly, so a
+    tape and its values form no reference cycle.
     """
 
     __slots__ = ("value", "_grad", "_tape", "__weakref__")
@@ -80,7 +92,7 @@ class DiffValue:
     def __init__(self, value: np.ndarray, tape: "Tape"):
         self.value = value
         self._grad = None
-        self._tape = tape
+        self._tape = tape._ref
 
     @property
     def grad(self) -> np.ndarray:
@@ -102,6 +114,7 @@ class Tape:
     """Ordered record of operations; replay in reverse to get gradients."""
 
     def __init__(self):
+        self._ref = weakref.ref(self)
         self._nodes: list[_Node] = []
         self._released = 0
         self._backward_done = False
@@ -132,7 +145,7 @@ class Tape:
         releases each recorded operation once its adjoint is applied, so a
         tape supports exactly one backward pass.
         """
-        if loss._tape is not self:
+        if loss._tape is not self._ref:
             raise ContractError("loss was not computed on this tape")
         if loss.value.shape != (1, 1):
             raise ContractError(f"loss must be 1x1, got {loss.value.shape}")
@@ -161,10 +174,13 @@ class Tape:
 
 
 def _same_tape(*vals: DiffValue) -> Tape:
-    tape = vals[0]._tape
+    ref = vals[0]._tape
     for v in vals[1:]:
-        if v._tape is not tape:
+        if v._tape is not ref:
             raise ContractError("operands live on different tapes")
+    tape = ref()
+    if tape is None:
+        raise ContractError("the operands' tape no longer exists")
     return tape
 
 
@@ -181,20 +197,6 @@ def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
         return g @ bv.T, av.T @ g
 
     return tape._record(out, (a, b), backward_fn)
-
-
-def cast(a: DiffValue, dtype) -> DiffValue:
-    """``a`` in another float precision; its gradient returns in ``a``'s dtype.
-
-    A value that already has ``dtype`` is returned as it is, and nothing is
-    recorded.
-    """
-    tape = _same_tape(a)
-    if a.value.dtype == dtype:
-        return a
-    out = DiffValue(a.value.astype(dtype), tape)
-    back = a.value.dtype
-    return tape._record(out, (a,), lambda g: (g.astype(back),))
 
 
 def checked_inverse(a: np.ndarray) -> np.ndarray:
@@ -231,6 +233,64 @@ def matinv(a: DiffValue) -> DiffValue:
     return tape._record(out, (a,), backward_fn)
 
 
+def similarity(s: DiffValue, k: DiffValue, dtype) -> DiffValue:
+    """``inv(s) @ k @ s`` in ``s`` and ``k``'s precision, handed over in ``dtype``.
+
+    The inverse has :func:`checked_inverse`'s guard, and the products are
+    ``(inv(s) @ k) @ s``, the float operations of ``matmul(matmul(matinv(s),
+    k), s)``. The gradients return in the precision of ``s`` and ``k``.
+    """
+    tape = _same_tape(s, k)
+    if k.value.shape != s.value.shape:
+        raise DimensionError(
+            f"similarity: k is {k.value.shape}, s is {s.value.shape}")
+    sv, kv = s.value, k.value
+    inv = checked_inverse(sv)
+    eff = inv @ kv @ sv
+    out = DiffValue(eff.astype(dtype, copy=False), tape)
+
+    def backward_fn(g):
+        # d(eff) = -inv ds eff + inv dk s + inv k ds
+        m = inv.T @ g.astype(eff.dtype, copy=False)
+        gs = kv.T @ m
+        gs -= m @ eff.T
+        return gs, m @ sv.T
+
+    return tape._record(out, (s, k), backward_fn)
+
+
+def rollout(a: DiffValue, z0: DiffValue, steps: int) -> DiffValue:
+    """``[a z0, a^2 z0, ..., a^steps z0]``, side by side, as one value.
+
+    Block k (columns ``k m`` to ``(k + 1) m`` for an ``m``-column ``z0``)
+    is ``a`` times block k - 1, written in place: the values of ``steps``
+    chained :func:`matmul` calls, bit for bit. The adjoint runs the
+    recursion ``G_k += a.T @ G_{k+1}`` in the output's gradient array, so
+    after the backward pass that array holds the recursion's sums.
+    """
+    tape = _same_tape(a, z0)
+    av, z0v = a.value, z0.value
+    if av.shape[0] != av.shape[1] or av.shape[1] != z0v.shape[0]:
+        raise DimensionError(f"rollout: {av.shape} cannot advance {z0v.shape}")
+    if steps < 1:
+        raise ContractError(f"rollout: steps must be >= 1, got {steps}")
+    m = z0v.shape[1]
+    Z = np.empty((av.shape[0], steps * m), np.result_type(av, z0v))
+    z = z0v
+    for k in range(steps):
+        z = np.matmul(av, z, out=Z[:, k * m:(k + 1) * m])
+    out = DiffValue(Z, tape)
+
+    def backward_fn(g):
+        for k in range(steps - 1, 0, -1):
+            g[:, (k - 1) * m:k * m] += av.T @ g[:, k * m:(k + 1) * m]
+        ga = g[:, :m] @ z0v.T
+        ga += g[:, m:] @ Z[:, :-m].T
+        return ga, av.T @ g[:, :m]
+
+    return tape._record(out, (a, z0), backward_fn)
+
+
 def _activate(h: np.ndarray, fn: str) -> np.ndarray:
     """Apply activation ``fn`` to ``h`` in place and return ``h``."""
     if fn == "tanh":
@@ -243,7 +303,8 @@ def _activate(h: np.ndarray, fn: str) -> np.ndarray:
 
 
 def _activation_adjoint(g: np.ndarray, out: np.ndarray, fn: str) -> np.ndarray:
-    """``g`` times the activation's slope, read from its output ``out``, as a new array.
+    """``g`` times the activation's slope, read from its output ``out``, written
+    into ``g``, which is returned.
 
     relu's output is positive exactly where its input is, so the mask
     taken from the output equals the one taken from the input.
@@ -251,11 +312,10 @@ def _activation_adjoint(g: np.ndarray, out: np.ndarray, fn: str) -> np.ndarray:
     if fn == "tanh":
         slope = np.multiply(out, out)
         np.subtract(1.0, slope, out=slope)
-        slope *= g
-        return slope
-    if fn == "relu":
-        return g * (out > 0.0)
-    return g.copy()
+        g *= slope
+    elif fn == "relu":
+        g *= out > 0.0
+    return g
 
 
 def elementwise(a: DiffValue, fn: str) -> DiffValue:
@@ -264,7 +324,7 @@ def elementwise(a: DiffValue, fn: str) -> DiffValue:
     out_val = _activate(a.value.copy(), fn)
     out = DiffValue(out_val, tape)
     return tape._record(out, (a,),
-                        lambda g: (_activation_adjoint(g, out_val, fn),))
+                        lambda g: (_activation_adjoint(g.copy(), out_val, fn),))
 
 
 def dense_forward(w: np.ndarray, x: np.ndarray, b: np.ndarray, fn: str) -> np.ndarray:
@@ -279,7 +339,8 @@ def dense(w: DiffValue, x: DiffValue, b: DiffValue, fn: str) -> DiffValue:
 
     ``b`` is a (rows of w, 1) bias column added to every column. Only the
     product is a new array: the bias and the activation are applied to it
-    in place, and ``w``, ``x`` and ``b`` are never written.
+    in place, and ``w``, ``x`` and ``b`` are never written. The adjoint
+    applies the activation's slope in place in the output's gradient array.
     """
     tape = _same_tape(w, x, b)
     if w.value.shape[1] != x.value.shape[0]:
@@ -357,14 +418,18 @@ def _column_indices(a: DiffValue, indices, opname: str) -> np.ndarray:
 def _scatter_cols(g: np.ndarray, idx: np.ndarray, cols: int) -> np.ndarray:
     """The adjoint of ``a[:, idx]`` for an ``a`` with ``cols`` columns: g's scatter-add.
 
-    One bincount over all rows; each entry sums its columns in index order,
-    starting from 0.0, so a -0.0 in ``g`` scatters as +0.0. bincount sums in
-    float64; the result has g's dtype.
+    Each run of consecutive indices adds its columns of ``g`` with one
+    slice-add, run after run in index order, into zeros of g's dtype. So
+    every entry sums its columns in index order starting from 0.0, and a
+    -0.0 in ``g`` scatters as +0.0.
     """
-    rows = g.shape[0]
-    flat = (idx + cols * np.arange(rows)[:, None]).ravel()
-    out = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)
-    return out.astype(g.dtype, copy=False).reshape(rows, cols)
+    out = np.zeros((g.shape[0], cols), g.dtype)
+    # where a run starts: its index is not one more than the one before
+    firsts = np.flatnonzero(np.diff(idx, prepend=-2) != 1).tolist()
+    for j0, j1 in zip(firsts, firsts[1:] + [idx.size]):
+        c = int(idx[j0])
+        out[:, c:c + j1 - j0] += g[:, j0:j1]
+    return out
 
 
 def gather_cols(a: DiffValue, indices) -> DiffValue:
@@ -379,8 +444,9 @@ def gather_cols(a: DiffValue, indices) -> DiffValue:
 def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
     """Squared distance ``||a[:, indices] - b||^2`` as a (1, 1) float64 scalar.
 
-    No array of its own outlives the call: the adjoint gathers the
-    residual again from ``a`` and ``b``, which are never written. The
+    No array of its own outlives the call: the forward squares the residual
+    in place, and the adjoint gathers it again from ``a`` and ``b``, which
+    are never written, and negates it in place for ``b``'s gradient. The
     residual and its squares are in the operands' dtype, their sum is
     accumulated in float64, and the gradients have the operands' dtype. For
     float64 operands the value and both gradients are the float operations
@@ -399,12 +465,15 @@ def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
         return r
 
     r = residual()
-    out = DiffValue(np.array([[np.sum(r * r, dtype=np.float64)]]), tape)
+    r *= r
+    out = DiffValue(np.array([[np.sum(r, dtype=np.float64)]]), tape)
 
     def backward_fn(g):
         gr = residual()
         # a Python float keeps a float32 residual's loop in float32
         gr *= float(2.0 * g[0, 0])
-        return _scatter_cols(gr, idx, av.shape[1]), -gr
+        ga = _scatter_cols(gr, idx, av.shape[1])
+        np.negative(gr, out=gr)
+        return ga, gr
 
     return tape._record(out, (a, b), backward_fn)

@@ -16,12 +16,13 @@ Losses follow the squared-L2 convention. For one trajectory x_0..x_T:
 ``sliding_window_loss`` is the training objective: the weighted sum
 averaged over every length H+1 window (stride 1) of every trajectory,
 evaluated for all windows in one stacked pass, so it runs as a handful of
-matrix products instead of a Python loop per window. The test suite checks
-it against a per-window, per-step reference loss.
+matrix products instead of a Python loop per window or horizon step. The
+test suite checks it against a per-window, per-step reference loss.
 
 Checkpoints are self-describing text: layer sizes, activation kinds, the
-MLP dtype, every matrix with repr-exact floats, plus optional preprocessing
-record and config key/value pairs. Round-trips are bit-exact. Loading
+MLP dtype, every matrix with repr-exact floats (a float32 entry in its
+shortest float32 repr), plus optional preprocessing record and config
+key/value pairs. Round-trips are bit-exact. Loading
 refuses a repeated or unknown entry and a matrix the model does not use,
 and reads a checkpoint without an ``mlp-dtype`` line, written before the
 line existed, as a float64 model.
@@ -276,11 +277,11 @@ class BoundModel:
         return self._mlp("decoder", self.model.decoder, Z)
 
     def effective(self) -> DiffValue:
-        """S^-1 K S on the tape; computed once and shared by all losses."""
+        """S^-1 K S on the tape in the model's dtype, formed in float64 by one
+        ``similarity`` node; computed once and shared by all losses."""
         if self._effective is None:
-            s_inv = ad.matinv(self.leaves["S"])
-            self._effective = ad.matmul(ad.matmul(s_inv, self.leaves["K"]),
-                                        self.leaves["S"])
+            self._effective = ad.similarity(self.leaves["S"], self.leaves["K"],
+                                            self.model.dtype)
         return self._effective
 
     def gradients(self) -> dict[str, np.ndarray]:
@@ -312,10 +313,11 @@ def tape_bytes(model: KoopmanModel, n_samples: int, n_windows: int,
 
     In the model's dtype: the encoder and decoder leaves. Per sample: the
     data, every encoder layer and, for the rec term, every decoder layer.
-    Per window: the H + 1 lifted iterates, the rec term's H + 1 gathered
-    data targets and, for the pred term, every decoder layer at each of the
-    H steps. A float32 model adds S^-1 K S cast to float32. In float64: the
-    K and S leaves, S^-1, S^-1 K and S^-1 K S.
+    Per window: the initial lifted state and the rollout's H iterates, the
+    rec term's H + 1 gathered data targets and, for the pred term, every
+    decoder layer at each of the H steps. A float32 model adds S^-1 K S in
+    float32. In float64: the K and S leaves, and the S^-1 and S^-1 K S that
+    the ``similarity`` node keeps for its adjoint.
     """
     n, d = model.n, model.d
     enc = sum(model.encoder.layer_sizes[1:])
@@ -324,7 +326,7 @@ def tape_bytes(model: KoopmanModel, n_samples: int, n_windows: int,
                   + n_samples * (n + enc + dec)
                   + n_windows * ((horizon + 1) * (d + n) + horizon * dec)
                   + (d * d if model.dtype != np.float64 else 0))
-    return model.dtype.itemsize * mlp_floats + 8 * 5 * d * d
+    return model.dtype.itemsize * mlp_floats + 8 * 4 * d * d
 
 
 def sliding_window_loss(bound: BoundModel, batch: Sequence,
@@ -332,10 +334,13 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
                         components: dict | None = None) -> DiffValue:
     """Weighted loss averaged over every stride-1 window of length horizon+1.
 
-    All window starts advance through the lifted dynamics together as one
-    column-stacked matrix, and lifted targets are gathered from a single
-    shared encoding of all samples, so cost scales with matrix sizes rather
-    than window count.
+    All window starts advance through the lifted dynamics together: one
+    ``rollout`` node holds the H steps of every window side by side, step
+    by step (k-major), and lifted targets are gathered from a single shared
+    encoding of all samples. The lin and pred terms are one
+    ``gather_sq_dist`` node each over the whole horizon, and so is the rec
+    term over every window, so cost scales with matrix sizes rather than
+    window count or horizon.
 
     When ``components`` is given it is filled with the unweighted per-window
     means of the three terms (zero for terms whose weight is zero).
@@ -361,35 +366,26 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
     X_all = np.vstack(arrays, dtype=bound.model.dtype).T
     starts = np.concatenate([
         off + np.arange(X.shape[0] - H) for off, X in zip(offsets, arrays)])
+    # the sample at step k of every window, k = 0..H, k-major like the rollout
+    window_cols = (starts + np.arange(H + 1)[:, None]).ravel()
+    ahead = window_cols[n_windows:]
 
     X_leaf = bound.tape.leaf(X_all)
     Psi_all = bound.encode(X_leaf)
-    Keff = ad.cast(bound.effective(), bound.model.dtype)
-
-    z = ad.gather_cols(Psi_all, starts)
-    pred_total = None
-    lin_total = None
-    for k in range(1, H + 1):
-        z = ad.matmul(Keff, z)
-        if weights.lin > 0.0:
-            term = ad.gather_sq_dist(Psi_all, starts + k, z)
-            lin_total = term if lin_total is None else ad.add(lin_total, term)
-        if weights.pred > 0.0:
-            term = ad.gather_sq_dist(X_leaf, starts + k, bound.decode(z))
-            pred_total = term if pred_total is None else ad.add(pred_total, term)
-
-    parts = []
-    if weights.pred > 0.0:
-        parts.append(ad.scale(pred_total, weights.pred))
+    Z = ad.rollout(bound.effective(), ad.gather_cols(Psi_all, starts), H)
+    pred_total = lin_total = rec_total = None
     if weights.lin > 0.0:
-        parts.append(ad.scale(lin_total, weights.lin))
-    rec_total = None
+        lin_total = ad.gather_sq_dist(Psi_all, ahead, Z)
+    if weights.pred > 0.0:
+        pred_total = ad.gather_sq_dist(X_leaf, ahead, bound.decode(Z))
     if weights.rec > 0.0:
         # each sample enters once per window containing it
-        window_cols = (starts[:, None] + np.arange(H + 1)[None, :]).ravel()
         rec_total = ad.gather_sq_dist(bound.decode(Psi_all), window_cols,
                                       bound.tape.leaf(X_all[:, window_cols]))
-        parts.append(ad.scale(rec_total, weights.rec))
+    parts = [ad.scale(term, w) for term, w in ((pred_total, weights.pred),
+                                               (lin_total, weights.lin),
+                                               (rec_total, weights.rec))
+             if term is not None]
     if components is not None:
         components.clear()
         for key, term in (("pred", pred_total), ("lin", lin_total),
@@ -409,10 +405,20 @@ _META_KEYS = ("encoder-activation", "decoder-activation", "encoder-layers",
 _DTYPE_KEY = "mlp-dtype"
 
 
+def _entry_text(v: np.floating) -> str:
+    """A float32 entry's shortest repr when it reads back through float64 to
+    the same bits, else the float64 repr of its value; a float64 entry's repr."""
+    if v.dtype == np.float32:
+        text = str(v)
+        if np.float32(float(text)) == v:
+            return text
+    return repr(float(v))
+
+
 def _write_matrix(lines: list[str], name: str, arr: np.ndarray) -> None:
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+    arr = np.atleast_2d(np.asarray(arr))
     lines.append(f"matrix {name} {arr.shape[0]} {arr.shape[1]}")
-    lines.extend(" ".join(repr(float(v)) for v in row) for row in arr)
+    lines.extend(" ".join(map(_entry_text, row)) for row in arr)
 
 
 def save_checkpoint(path, model: KoopmanModel,

@@ -292,7 +292,8 @@ def gather_cols_adjoint_bincount(g: np.ndarray, idx, rows: int, cols: int) -> np
     idx = np.asarray(idx, dtype=np.intp)
     flat = (idx + cols * np.arange(rows)[:, None]).ravel()
     buf = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)
-    return buf.reshape(rows, cols)
+    # with no weights at all bincount returns int64 zeros
+    return buf.astype(np.float64, copy=False).reshape(rows, cols)
 
 
 def backward_out_of_place(tape: ad.Tape, loss: DiffValue) -> None:

@@ -185,12 +185,25 @@ def _loss_through(op_name, tape, x):
     if op_name == "sq_dist_arg":
         base = tape.leaf(np.linspace(-0.4, 0.6, x.value.shape[0] * 5).reshape(-1, 5))
         return ad.sum_sq_norm(ad.gather_sq_dist(base, [4, 0, 2], x))
+    if op_name == "rollout_a":
+        z0 = tape.leaf(np.linspace(-0.8, 0.9, x.value.shape[0] * 3).reshape(-1, 3))
+        return ad.sum_sq_norm(ad.rollout(x, z0, 3))
+    if op_name == "rollout_z0":
+        a = tape.leaf(np.linspace(-0.5, 0.6, 16).reshape(4, 4))
+        return ad.sum_sq_norm(ad.rollout(a, x, 3))
+    if op_name == "similarity_s":
+        k = tape.leaf(np.linspace(-1.0, 1.3, 16).reshape(4, 4))
+        return ad.sum_sq_norm(ad.similarity(x, k, np.float64))
+    if op_name == "similarity_k":
+        s = tape.leaf(np.eye(4) + np.linspace(-0.2, 0.3, 16).reshape(4, 4))
+        return ad.sum_sq_norm(ad.similarity(s, x, np.float64))
     raise AssertionError(op_name)
 
 
 SWEEP_OPS = ["matmul_left", "matmul_right", "matinv", "tanh", "relu", "identity",
              "add", "sub", "scale", "add_bias", "bias_arg", "sum_sq_norm",
-             "gather_cols", "gather_sq_dist", "sq_dist_arg"]
+             "gather_cols", "gather_sq_dist", "sq_dist_arg", "rollout_a", "rollout_z0",
+             "similarity_s", "similarity_k"]
 
 
 def _sweep_rng(op_name):
@@ -198,8 +211,10 @@ def _sweep_rng(op_name):
 
 
 def _sweep_input(op_name, rng):
-    if op_name == "matinv":
+    if op_name in ("matinv", "similarity_s"):
         return rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+    if op_name in ("rollout_a", "similarity_k"):
+        return 0.5 * rng.standard_normal((4, 4))
     if op_name == "bias_arg":
         return rng.standard_normal((4, 1))
     x0 = rng.standard_normal((4, 3))
@@ -376,6 +391,21 @@ def test_backward_releases_the_step_without_the_cycle_collector():
         gc.enable()
 
 
+def test_a_tape_dropped_before_its_backward_pass_needs_no_cycle_collector():
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        x = tape.leaf(np.eye(3))
+        y = ad.matmul(x, x)
+        tape_ref, y_ref = weakref.ref(tape), weakref.ref(y)
+        del tape, y
+        assert tape_ref() is None and y_ref() is None
+        with pytest.raises(ContractError, match="no longer exists"):
+            ad.matmul(x, x)
+    finally:
+        gc.enable()
+
+
 def test_tape_length_counts_released_nodes():
     tape = ad.Tape()
     x = tape.leaf(np.ones((2, 2)))
@@ -393,15 +423,17 @@ def test_leaf_keeps_a_float32_or_float64_dtype(given, kept):
     assert ad.Tape().leaf(np.ones((2, 3), dtype=given)).value.dtype == kept
 
 
-def test_cast_hands_a_value_over_and_its_gradient_back():
+def test_similarity_hands_its_value_over_and_its_gradient_back():
     rng = np.random.default_rng(31)
+    s0 = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
+    k0 = rng.standard_normal((3, 3))
     tape = ad.Tape()
-    a = tape.leaf(rng.standard_normal((3, 3)))
+    s, k = tape.leaf(s0), tape.leaf(k0)
     x = tape.leaf(rng.standard_normal((3, 4)).astype(np.float32))
-    assert ad.cast(a, np.float64) is a and len(tape) == 0
-    a32 = ad.cast(a, np.float32)
-    assert same_bits(a32.value.astype(np.float64), a.value.astype(np.float32).astype(np.float64))
-    y = ad.matmul(a32, x)
+    eff = ad.similarity(s, k, np.float32)
+    assert same_bits(eff.value.astype(np.float64),
+                     (ad.checked_inverse(s0) @ k0 @ s0).astype(np.float32).astype(np.float64))
+    y = ad.matmul(eff, x)
     target = tape.leaf(rng.standard_normal((3, 2)).astype(np.float32))
     loss = ad.gather_sq_dist(y, [3, 1], target)
     # the squares are float32, their sum float64
@@ -409,10 +441,14 @@ def test_cast_hands_a_value_over_and_its_gradient_back():
     assert loss.value.dtype == np.float64
     assert loss.value[0, 0] == np.sum(r * r, dtype=np.float64)
     tape.backward(loss)
-    for v, dtype in ((a, np.float64), (a32, np.float32), (x, np.float32),
+    for v, dtype in ((s, np.float64), (k, np.float64), (eff, np.float32), (x, np.float32),
                      (y, np.float32), (target, np.float32)):
         assert v.grad.dtype == dtype
-    assert same_bits(a.grad, a32.grad.astype(np.float64))
+    # the float64 adjoint of the float32 gradient cast up
+    tape64 = ad.Tape()
+    ad.similarity(tape64.leaf(s0), tape64.leaf(k0), np.float64)
+    grad_s, grad_k = tape64._nodes[-1].backward_fn(eff.grad.astype(np.float64))
+    assert same_bits(s.grad, grad_s) and same_bits(k.grad, grad_k)
 
 
 def test_float32_scatter_keeps_its_dtype():
@@ -450,8 +486,12 @@ def test_fan_out_sums_gradients_without_aliasing():
     [0, 2, 3, 6],        # strictly increasing
     [1, 1, 4, 0, 4, 4],  # repeated: summed in index order
     [5, 3, 0],           # distinct but decreasing
+    [],
 ])
 def test_gather_cols_matches_the_bincount_adjoint_bit_for_bit(idx):
+    """Bit for bit in float64. In float32 each entry is within 1.5 float32
+    epsilons of the magnitudes it adds: at most two float32 additions of half
+    an epsilon each, and bincount's float64 sum rounded to float32."""
     rng = np.random.default_rng(40)
     a0 = rng.standard_normal((3, 7))
     g = rng.standard_normal((3, len(idx)))
@@ -461,6 +501,98 @@ def test_gather_cols_matches_the_bincount_adjoint_bit_for_bit(idx):
     assert same_bits(out.value, a0[:, idx])
     (got,) = tape._nodes[-1].backward_fn(g)
     assert same_bits(got, gather_cols_adjoint_bincount(g, idx, 3, 7))
+    g32 = rng.standard_normal((3, len(idx))).astype(np.float32)
+    got32 = ad._scatter_cols(g32, np.array(idx, dtype=np.intp), 7)
+    want = gather_cols_adjoint_bincount(g32.astype(np.float64), idx, 3, 7)
+    size = gather_cols_adjoint_bincount(np.abs(g32.astype(np.float64)), idx, 3, 7)
+    assert got32.dtype == np.float32
+    assert np.all(np.abs(got32 - want) <= 1.5 * np.finfo(np.float32).eps * size)
+
+
+def _rollout_chain(a, z0, steps):
+    blocks = [z0]
+    for _ in range(steps):
+        blocks.append(ad.matmul(a, blocks[-1]))
+    return blocks[1:]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rollout_equals_the_chained_matmuls(steps, dtype):
+    """Values bit for bit in either dtype; float64 gradients within 1e-12 (rel_err)."""
+    rng = np.random.default_rng(46)
+    a0 = (0.4 * rng.standard_normal((4, 4))).astype(dtype)
+    z00 = rng.standard_normal((4, 3)).astype(dtype)
+    c0 = rng.standard_normal((2, 4)).astype(dtype)
+
+    def run(fused):
+        tape = ad.Tape()
+        a, z0, c = tape.leaf(a0), tape.leaf(z00), tape.leaf(c0)
+        if fused:
+            Z = ad.rollout(a, z0, steps)
+            blocks = [Z.value[:, 3 * k:3 * k + 3] for k in range(steps)]
+            loss = ad.sum_sq_norm(ad.matmul(c, Z))
+        else:
+            chain = _rollout_chain(a, z0, steps)
+            blocks = [z.value for z in chain]
+            terms = [ad.sum_sq_norm(ad.matmul(c, z)) for z in chain]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = ad.add(loss, term)
+        tape.backward(loss)
+        return blocks, [a.grad, z0.grad], [a.value, z0.value]
+
+    fused, fused_grads, fused_inputs = run(True)
+    chain, chain_grads, _ = run(False)
+    for got, want in zip(fused, chain):
+        assert same_bits(got.astype(np.float64), want.astype(np.float64))
+    for got, want in zip(fused_inputs, (a0, z00)):
+        assert same_bits(got.astype(np.float64), want.astype(np.float64))
+    for got, want in zip(fused_grads, chain_grads):
+        assert got.dtype == dtype
+        assert rel_err(got.astype(np.float64), want.astype(np.float64)) < (
+            1e-12 if dtype == np.float64 else 1e-5)
+
+
+def test_similarity_equals_the_matinv_matmul_matmul_chain():
+    """The value bit for bit; the gradients within 1e-12 (rel_err)."""
+    rng = np.random.default_rng(47)
+    s0 = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
+    k0 = rng.standard_normal((5, 5))
+    c0 = rng.standard_normal((3, 5))  # makes the output gradient unlike the value
+
+    def run(op):
+        tape = ad.Tape()
+        s, k = tape.leaf(s0), tape.leaf(k0)
+        out = op(s, k)
+        tape.backward(ad.sum_sq_norm(ad.matmul(tape.leaf(c0), out)))
+        return out.value, [s.grad, k.grad], [s.value, k.value]
+
+    fused, fused_grads, fused_inputs = run(lambda s, k: ad.similarity(s, k, np.float64))
+    chain, chain_grads, _ = run(lambda s, k: ad.matmul(ad.matmul(ad.matinv(s), k), s))
+    assert same_bits(fused, chain)
+    for got, want in zip(fused_inputs, (s0, k0)):
+        assert same_bits(got, want)
+    for got, want in zip(fused_grads, chain_grads):
+        assert rel_err(got, want) < 1e-12
+
+
+def test_rollout_and_similarity_refuse_bad_operands():
+    tape = ad.Tape()
+    sq, wide = tape.leaf(np.eye(3)), tape.leaf(np.ones((3, 2)))
+    with pytest.raises(DimensionError):
+        ad.rollout(wide, sq, 2)
+    with pytest.raises(DimensionError):
+        ad.rollout(sq, tape.leaf(np.ones((2, 2))), 2)
+    with pytest.raises(ContractError, match="steps"):
+        ad.rollout(sq, wide, 0)
+    with pytest.raises(DimensionError):
+        ad.similarity(sq, tape.leaf(np.eye(2)), np.float64)
+    with pytest.raises(SingularMatrixError):
+        ad.similarity(tape.leaf(np.zeros((3, 3))), sq, np.float64)
+    with pytest.raises(ContractError):
+        ad.similarity(sq, ad.Tape().leaf(np.eye(3)), np.float64)
+    assert len(tape) == 0
 
 
 def _fan_in(tape, x0, w0, y0):
@@ -533,7 +665,7 @@ def test_tanh_adjoint_matches_the_plain_expression_bit_for_bit():
     out = np.tanh(rng.standard_normal((6, 9)) * 3.0)
     g = rng.standard_normal((6, 9))
     g[0] = -0.0
-    assert same_bits(ad._activation_adjoint(g, out, "tanh"),
+    assert same_bits(ad._activation_adjoint(g.copy(), out, "tanh"),
                      tanh_adjoint_reference(g, out))
 
 

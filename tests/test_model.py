@@ -421,25 +421,26 @@ class TestSlidingWindowLoss:
                            bound_slow.leaves[name].grad) <= 1e-9
 
     def test_criterion_09_shape_records_one_node_per_layer(self):
-        """Each MLP layer is one node: 4 encoder and 11 x 4 decoder layers of 107.
+        """Each MLP layer is one node: 4 encoder and 2 x 4 decoder layers of 24.
 
-        Each step's lin and pred terms, and the rec term, are one
-        ``gather_sq_dist`` node each. A float32 model adds one ``cast`` of
-        S^-1 K S.
+        S^-1 K S is one ``similarity`` node in either dtype, the H steps of
+        every window one ``rollout`` node, and the lin, pred and rec terms
+        one ``gather_sq_dist`` node each; the rest are the initial gather,
+        three weights, two sums and the mean.
         """
         dataset = synth_handwriting_like(seed=7)
-        for dtype, nodes in ((np.float32, 108), (np.float64, 107)):
+        for dtype in (np.float32, np.float64):
             m = KoopmanModel.init(n=dataset.dim, d=20, hidden=(50, 50, 50), seed=7,
                                   dtype=dtype)
             tape = Tape()
             sliding_window_loss(BoundModel(tape, m), [t.states for t in dataset.train],
                                 LossWeights(horizon=10))
-            assert len(tape) == nodes, dtype
+            assert len(tape) == 24, dtype
 
     def test_wide_step_tape_holds_what_tape_bytes_counts(self):
         """d=200, two trajectories, H=10: 9.7 MB live in float64 while every
-        term kept its residual and its gathered lin targets, 5.1 MB since,
-        and 3.8 MB in float32."""
+        term kept its residual and its gathered lin targets, 5.5 MB since,
+        5.1 MB since S^-1 K S is one node, and 3.4 MB in float32."""
         dataset = synth_handwriting_like(n_traj=12, noise=0.5, seed=3, n_val=2)
         batch = [t.states for t in dataset.train][:2]
         n_samples = sum(len(states) for states in batch)
@@ -455,6 +456,7 @@ class TestSlidingWindowLoss:
                 live = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
+            assert len(bound.tape) == 21
             assert live - bound_at < 6e6
             estimate = tape_bytes(m, n_samples, n_samples - 2 * 10, 10)
             assert 0.9 < estimate / (live - start) < 1.1, dtype
@@ -462,7 +464,8 @@ class TestSlidingWindowLoss:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tape_bytes_counts_every_array_the_tape_records(self, dtype):
-        """Every recorded value and leaf but the (1, 1) loss scalars, each at
+        """Every recorded value and leaf but the (1, 1) loss scalars, and every
+        float array an adjoint keeps (S^-1 and the float64 S^-1 K S), each at
         its own itemsize."""
         rng = np.random.default_rng(73)
         m = tiny_model(seed=12, dtype=dtype)
@@ -470,8 +473,13 @@ class TestSlidingWindowLoss:
         sliding_window_loss(BoundModel(tape, m),
                             [rng.normal(size=(7, 2)), rng.normal(size=(6, 2))],
                             LossWeights(horizon=2))
-        values = {id(v): v for node in tape._nodes for v in (node.out, *node.parents)}
-        held = sum(v.value.nbytes for v in values.values() if v.value.shape != (1, 1))
+        arrays = {}
+        for node in tape._nodes:
+            kept = [cell.cell_contents for cell in node.backward_fn.__closure__ or ()]
+            for arr in [v.value for v in (node.out, *node.parents)] + kept:
+                if isinstance(arr, np.ndarray) and arr.dtype in ad.FLOAT_DTYPES:
+                    arrays[id(arr)] = arr
+        held = sum(arr.nbytes for arr in arrays.values() if arr.shape != (1, 1))
         assert held == tape_bytes(m, 13, 9, 2)
 
     def test_batch_over_the_tape_limit_is_refused_before_recording(self, monkeypatch):
@@ -565,8 +573,9 @@ class TestPrecision:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_step_keeps_every_value_and_gradient_in_its_precision(self, dtype):
-        """MLP values and gradients in the model's dtype; K, S, S^-1, S^-1 K,
-        S^-1 K S and the loss scalars in float64, with their gradients."""
+        """MLP values and gradients in the model's dtype; K, S and the loss
+        scalars in float64, with their gradients. The one node that forms
+        S^-1 K S in float64 hands it over in the model's dtype."""
         rng = np.random.default_rng(5)
         m = tiny_model(seed=5, d=5, hidden=(7,), dtype=dtype)
         tape = Tape()
@@ -578,14 +587,12 @@ class TestPrecision:
         for name, leaf in bound.leaves.items():
             want = np.float64 if name in ("K", "S") else dtype
             assert leaf.value.dtype == want and leaf.grad.dtype == want, name
-        chain = [v for v in outs if v.value.shape == (5, 5) and v.value.dtype == np.float64]
-        assert len(chain) == 3 and chain[-1] is bound.effective()
+        square = [v for v in outs if v.value.shape == (5, 5)]
+        assert len(square) == 1 and square[0] is bound.effective()
         for v in outs:
             assert v.grad.dtype == v.value.dtype
-            if v.value.shape == (1, 1):
-                assert v.value.dtype == np.float64
-            elif not any(v is c for c in chain):
-                assert v.value.dtype == dtype, v.value.shape
+            want = np.float64 if v.value.shape == (1, 1) else dtype
+            assert v.value.dtype == want, v.value.shape
         assert loss.value.dtype == np.float64
 
 
@@ -632,6 +639,30 @@ class TestCheckpoint:
             assert same_bits(loaded.get_params()[name].astype(np.float64),
                              arr.astype(np.float64)), name
             assert loaded.get_params()[name].dtype == arr.dtype, name
+
+    def test_float32_entries_are_written_in_their_shortest_repr(self, tmp_path):
+        """Entries from every float32 binade, subnormals and signed zeros read
+        back bit for bit; each is written as numpy's shortest float32 repr,
+        which makes the file smaller than 17-digit float64 reprs would."""
+        rng = np.random.default_rng(15)
+        m = KoopmanModel.init(n=2, d=20, hidden=(50, 50, 50), seed=7)
+        bits = rng.integers(0, 0x7F800000, size=m.encoder.weights[1].size, dtype=np.uint32)
+        bits[:4] = [0, 1, 0x007FFFFF, 0x7F7FFFFF]  # 0, subnormals, the largest float32
+        bits[::2] |= np.uint32(0x80000000)
+        m.encoder.weights[1][...] = bits.view(np.float32).reshape(50, 50)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m)
+        loaded, _, _ = load_checkpoint(path)
+        for name, arr in m.get_params().items():
+            assert loaded.get_params()[name].tobytes() == arr.tobytes(), name
+        lines = path.read_text().splitlines()
+        for name in ("encoder.w1", "decoder.w2"):
+            arr = m.get_params()[name]
+            first = lines.index(f"matrix {name} {arr.shape[0]} {arr.shape[1]}") + 1
+            rows = lines[first:first + arr.shape[0]]
+            assert rows == [" ".join(str(v) for v in row) for row in arr]
+            long = sum(len(" ".join(repr(float(v)) for v in row)) for row in arr)
+            assert sum(map(len, rows)) < 0.7 * long, name
 
     def test_checkpoint_without_a_dtype_line_is_float64(self, tmp_path):
         m = tiny_model(seed=11, dtype=np.float64)
@@ -732,6 +763,18 @@ class TestCheckpoint:
         path.write_text(path.read_text().replace(old, new))
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("new", ["matrix K 3", "matrix K 3 3 3", "matrix"])
+    def test_matrix_line_needs_name_rows_and_cols(self, tmp_path, new):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(seed=16))
+        lines = path.read_text().splitlines()
+        at = lines.index("matrix K 3 3")
+        lines[at] = new
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}:{at + 1}: matrix line needs name, rows, cols"
 
     @pytest.mark.parametrize("old, new", [
         ("preproc-dt 0.1", "preproc-dt x"),
