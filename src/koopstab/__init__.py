@@ -38,7 +38,7 @@ from .errors import (
     ParseError,
     SingularMatrixError,
 )
-from .metrics import MetricsReport, build_report, nmse, norm_std
+from .metrics import MetricsReport, build_report, nmse
 from .model import (
     KoopmanModel,
     LossWeights,
@@ -47,11 +47,7 @@ from .model import (
     save_checkpoint,
     sliding_window_loss,
 )
-from .projection import (
-    barrier_threshold,
-    pgd_project,
-    project_row,
-)
+from .projection import barrier_threshold, pgd_project
 from .stability import (
     BarrierReport,
     Certificate,
@@ -103,10 +99,8 @@ __all__ = [
     "load_trajectory",
     "monomial_features",
     "nmse",
-    "norm_std",
     "normalize",
     "pgd_project",
-    "project_row",
     "resample",
     "resample_dataset",
     "save_checkpoint",

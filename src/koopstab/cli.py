@@ -5,7 +5,8 @@ Run configuration is a flat ``key = value`` text file (``#`` starts a
 comment); every key has a documented default and unknown keys are rejected,
 so a config file diff always tells the whole story. Exit codes follow one
 contract across commands: 0 success (for ``verify``: certified), 1
-certification refused, 2 usage/parse/configuration errors, 3 numeric
+certification refused, 2 usage/parse/configuration errors (settings too
+large for the machine's memory among them), 3 numeric
 failures (non-finite loss, singular basis, degenerate data), 4 internal
 error (any other exception; the traceback goes to stderr).
 
@@ -154,8 +155,6 @@ def _read_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
         try:
@@ -420,6 +419,9 @@ def main(argv=None) -> int:
     except (ConfigError, ContractError, DimensionError, DataError, OSError,
             UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # settings too large for this machine
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except Exception:
         # never 1: that code means "certification refused"

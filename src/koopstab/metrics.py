@@ -14,7 +14,8 @@ comparability with numbers computed under other conventions is not claimed):
   ||p_k - x_k||, normalized by the truth's RMS amplitude about its mean.
   A constant-offset prediction scores 0 (the error has no spread).
 
-Multi-trajectory inputs score each trajectory separately and average.
+Predictions and truths come as lists of (T, n) trajectories; each
+trajectory is scored separately and the scores are averaged.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ from .errors import DataError, DegenerateDataError, DimensionError, NumericError
 
 
 def _as_pairs(predicted, truth) -> list[tuple[np.ndarray, np.ndarray]]:
-    single = isinstance(predicted, np.ndarray) and predicted.ndim == 2
-    pred_list = [predicted] if single else list(predicted)
-    truth_list = [truth] if single else list(truth)
+    pred_list, truth_list = list(predicted), list(truth)
     if len(pred_list) != len(truth_list):
         raise DimensionError(
             f"{len(pred_list)} predictions but {len(truth_list)} truths")
@@ -79,13 +78,6 @@ def nmse(predicted, truth) -> float:
     """Variance-normalized mean squared error, averaged over trajectories."""
     pairs = _as_pairs(predicted, truth)
     return float(np.mean([nmse_single(p, x, k) for k, (p, x) in enumerate(pairs)]))
-
-
-def norm_std(predicted, truth) -> float:
-    """Amplitude-normalized error-norm spread, averaged over trajectories."""
-    pairs = _as_pairs(predicted, truth)
-    return float(np.mean([norm_std_single(p, x, k)
-                          for k, (p, x) in enumerate(pairs)]))
 
 
 @dataclass(frozen=True)

@@ -77,21 +77,17 @@ class MlpParams:
 
     @classmethod
     def init(cls, sizes: Sequence[int], activation: str = "tanh",
-             rng: np.random.Generator | None = None,
-             dtype=np.float32) -> "MlpParams":
-        """Xavier-uniform weights, zero biases, in ``dtype``.
-
-        The weights are drawn in float64 and then cast, so the draws do not
-        depend on ``dtype``.
-        """
+             rng: np.random.Generator | None = None) -> "MlpParams":
+        """Xavier-uniform weights, drawn in float64 and cast to float32, and
+        zero float32 biases."""
         if len(sizes) < 2:
             raise DimensionError("an MLP needs at least input and output sizes")
         rng = rng if rng is not None else np.random.default_rng(0)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype))
-            biases.append(np.zeros((fan_out, 1), dtype))
+            weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(np.float32))
+            biases.append(np.zeros((fan_out, 1), np.float32))
         return cls(weights=weights, biases=biases, activation=activation)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
@@ -110,7 +106,8 @@ class KoopmanModel:
 
     The encoder and decoder arrays share one dtype, float32 or float64:
     the model's ``dtype``, in which its MLP layers and the lifted rollout
-    run. K and S are float64 whatever it is.
+    run. ``init`` makes float32 models; a float64 one is built from its
+    arrays, as ``load_checkpoint`` does. K and S are float64 whatever it is.
     """
 
     encoder: MlpParams
@@ -150,17 +147,27 @@ class KoopmanModel:
     @classmethod
     def init(cls, n: int, d: int, hidden: Sequence[int] = (50, 50, 50),
              activation: str = "tanh", seed: int = 0,
-             k_init: str = "certified", dtype=np.float32) -> "KoopmanModel":
-        """Fresh model: mirrored encoder/decoder in ``dtype``, near-identity K and S.
+             k_init: str = "certified") -> "KoopmanModel":
+        """Fresh model: mirrored float32 encoder/decoder, near-identity K and S.
 
         ``k_init='certified'`` starts at 0.99 I (stability margin 0.01), so
         the constraint thresholds are pinned at zero from the first step;
         ``'infeasible'`` starts at 1.5 I to exercise recovery from a violated
-        stability condition.
+        stability condition. Sizes whose parameters alone would exceed
+        ``MAX_TAPE_BYTES`` raise ``ContractError`` before anything is
+        allocated; ``tape_bytes`` counts them too, so no step could train them.
         """
+        sizes = [n, *hidden, d]
+        # each float32 encoder layer and its mirror in the decoder; float64 K and S
+        needed = sum(4 * (2 * a * b + a + b) for a, b in zip(sizes, sizes[1:])) + 16 * d * d
+        if needed > MAX_TAPE_BYTES:
+            raise ContractError(
+                f"layer sizes {sizes} would hold {needed / 2**30:.3g} GiB of parameters, "
+                f"more than the {MAX_TAPE_BYTES / 2**30:g} GiB limit; lower lift_dim "
+                f"or hidden")
         rng = np.random.default_rng(seed)
-        encoder = MlpParams.init([n, *hidden, d], activation, rng, dtype)
-        decoder = MlpParams.init([d, *reversed(list(hidden)), n], activation, rng, dtype)
+        encoder = MlpParams.init(sizes, activation, rng)
+        decoder = MlpParams.init(sizes[::-1], activation, rng)
         if k_init == "certified":
             K = 0.99 * np.eye(d)
         elif k_init == "infeasible":

@@ -30,10 +30,10 @@ alpha < 1, to approach the feasible set geometrically).
 One kernel solves a block of rows of either mode at once, each against its
 own radius. ``pgd_project`` measures rows only with the certifier's own
 ``barrier_values`` and hands every row that misses its threshold to it in
-one call; ``project_row`` is a one-row view of it. The test suite checks
-the rows against a brute-force support-pattern enumeration of the same row
-problems, symmetric blocks bit for bit against a row-by-row reference, and
-asymmetric rows against a breakpoint-walk reference.
+one call. The test suite checks the rows against a brute-force
+support-pattern enumeration of the same row problems, symmetric blocks bit
+for bit against a row-by-row reference, and asymmetric rows against a
+breakpoint-walk reference.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
-from .stability import MODES, barrier_values
+from .stability import barrier_values
 
 
 def barrier_threshold(h_prev, alpha: float):
@@ -113,24 +113,6 @@ def _project_rows(Y: np.ndarray, diag: np.ndarray, radii: np.ndarray, mode: str)
     out = np.empty_like(Y)
     out[off_mask], out[at] = off.ravel(), x_ii
     return out
-
-
-def project_row(y, i: int, tau: float, mode: str) -> np.ndarray:
-    """Euclidean projection of row ``i`` onto its barrier set at threshold tau.
-
-    ``mode='symmetric'`` enforces both branches, an L1 ball of radius
-    1 - tau (the row index is validated, though the ball does not depend on
-    it); ``mode='asymmetric'`` enforces 'sum_{j != i} |x_j| - x_i <= 1 - tau'.
-    """
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if not 0 <= i < y.size:
-        raise DimensionError(f"row index {i} out of range for length {y.size}")
-    if mode not in MODES:
-        raise ContractError(f"unknown projection mode {mode!r}")
-    radius = 1.0 - tau
-    if mode == "symmetric" and radius <= 0.0:
-        raise ContractError(f"threshold {tau} leaves an empty interior (1 - tau <= 0)")
-    return _project_rows(y[None, :], np.array([i]), np.array([radius]), mode)[0]
 
 
 def pgd_project(K_tilde, K_prev, alpha: float, mode: str = "symmetric",

@@ -4,8 +4,10 @@ reference implementations the package's fast paths are checked against.
 * ``total_loss`` and its three terms evaluate the training loss one
   trajectory and one step at a time; ``sliding_window_loss`` must agree with
   it over the explicit windows.
+* ``with_mlp_dtype`` turns a fresh float32 model into a float64 one.
 * ``brute_force_row_qp`` solves the row projections by enumerating support
-  patterns; ``project_row`` must agree with it.
+  patterns; ``project_row``, one row through the package's block kernel,
+  must agree with it.
 * ``pgd_project_rowwise`` is ``pgd_project`` projecting one row at a time:
   symmetric rows by the one-row sort-and-threshold ``l1_project_row``,
   which the block kernel must match bit for bit, and asymmetric rows by the
@@ -33,8 +35,15 @@ from koopstab import autodiff as ad
 from koopstab import trainer
 from koopstab.autodiff import DiffValue
 from koopstab.errors import ContractError, DataError, DimensionError, NumericError
-from koopstab.model import BoundModel, LossWeights, _check_horizon, _states_matrix
-from koopstab.projection import barrier_threshold
+from koopstab.model import (
+    BoundModel,
+    KoopmanModel,
+    LossWeights,
+    MlpParams,
+    _check_horizon,
+    _states_matrix,
+)
+from koopstab.projection import _project_rows, barrier_threshold
 from koopstab.stability import _check_square, barrier_values
 
 FEASIBILITY_TOL = 1e-9
@@ -147,6 +156,15 @@ def total_loss(bound: BoundModel, batch: Sequence, weights: LossWeights) -> Diff
     return ad.scale(total, 1.0 / len(batch))
 
 
+def with_mlp_dtype(model: KoopmanModel, dtype) -> KoopmanModel:
+    """``model`` with its encoder and decoder arrays cast to ``dtype``; a
+    float64 model is built from arrays, as ``load_checkpoint`` builds one."""
+    def cast(mlp: MlpParams) -> MlpParams:
+        return MlpParams([w.astype(dtype) for w in mlp.weights],
+                         [b.astype(dtype) for b in mlp.biases], mlp.activation)
+    return KoopmanModel(cast(model.encoder), cast(model.decoder), model.K, model.S)
+
+
 # --------------------------------------- row projection oracle
 
 def _pattern_candidates(y: np.ndarray, coeff_rows: np.ndarray, free: np.ndarray,
@@ -207,6 +225,11 @@ def brute_force_row_qp(y, i: int, tau: float, mode: str = "symmetric") -> np.nda
     dist = ((candidates - y[None, :]) ** 2).sum(axis=1)
     dist[~valid] = np.inf
     return candidates[int(np.argmin(dist))]
+
+
+def project_row(y: np.ndarray, i: int, tau: float, mode: str) -> np.ndarray:
+    """Row ``i`` projected onto its barrier set at threshold tau, alone in a block."""
+    return _project_rows(y[None, :], np.array([i]), np.array([1.0 - tau]), mode)[0]
 
 
 def l1_project_row(y: np.ndarray, radius: float) -> np.ndarray:

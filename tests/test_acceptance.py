@@ -19,10 +19,12 @@ from helpers import (
     eig_match_distance,
     matrix_with_condition,
     min_margins,
+    project_row,
     random_orthogonal,
     rel_err,
     rotation,
     total_loss,
+    with_mlp_dtype,
 )
 from koopstab import autodiff as ad
 from koopstab.autodiff import Tape
@@ -34,7 +36,7 @@ from koopstab.data import (
 )
 from koopstab.edmd import edmd_fit, lift_dataset
 from koopstab.model import BoundModel, KoopmanModel, LossWeights
-from koopstab.projection import pgd_project, project_row
+from koopstab.projection import pgd_project
 from koopstab.stability import barrier_values, certify_stable, spectral_radius
 from koopstab.trainer import TrainConfig, evaluate, train
 
@@ -190,8 +192,8 @@ def _op_check(arrays, build):
 
 def _param_group_check(rng):
     """Worst finite-difference error over the four loss parameter groups."""
-    model = KoopmanModel.init(n=2, d=3, hidden=(4,), seed=int(rng.integers(1e6)),
-                              dtype=np.float64)
+    model = with_mlp_dtype(KoopmanModel.init(n=2, d=3, hidden=(4,),
+                                             seed=int(rng.integers(1e6))), np.float64)
     model.K = 0.5 * np.eye(3) + 0.1 * rng.normal(size=(3, 3))
     batch = [rng.normal(scale=0.6, size=(7, 2)), rng.normal(scale=0.6, size=(6, 2))]
     weights = LossWeights(horizon=3)

@@ -364,6 +364,27 @@ class TestTrainCommand:
         assert "windows" in err and "batch_size" in err
         assert not (tmp_path / "run" / "history.csv").exists()
 
+    @pytest.mark.parametrize("setting", [dict(lift_dim=1000000),
+                                         dict(hidden="1000000 1000000")])
+    def test_model_over_the_tape_limit_exits_2_before_allocating(self, tmp_path, capsys,
+                                                                 setting):
+        # 16 TB of K and S, or 8 TB of MLP weights: numpy fails at once on either
+        cfg = write_config(tmp_path, **setting)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "GiB of parameters, more than the 1 GiB limit; lower lift_dim" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 74.5 GiB"), "Unable to allocate 74.5 GiB"),
+        (MemoryError(), "allocation failed")])
+    def test_memory_error_exits_2_in_one_line(self, capsys, monkeypatch, exc, message):
+        def exhausted(args):
+            raise exc
+        monkeypatch.setattr(koopstab.cli, "cmd_train", exhausted)
+        assert main(["train"]) == 2
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
     def test_checkpoint_config_lines_replay_the_run(self, tmp_path):
         cfg = write_config(tmp_path, epochs=3, lr="0.0123", batch_size=2,
                            pred_weight=0.5, early_stop="true", mode="asymmetric",
