@@ -141,9 +141,9 @@ class Tape:
     def backward(self, loss: DiffValue) -> None:
         """Accumulate d(loss)/d(x) into ``x.grad`` for every reachable x.
 
-        ``loss`` must be a (1, 1) scalar produced on this tape. The sweep
-        releases each recorded operation once its adjoint is applied, so a
-        tape supports exactly one backward pass.
+        ``loss`` must be a (1, 1) scalar produced on this tape. The sweep skips
+        an operation only when no loss reaches it (its gradient is ``None``),
+        and releases each once its adjoint is applied: one backward per tape.
         """
         if loss._tape is not self._ref:
             raise ContractError("loss was not computed on this tape")
@@ -159,8 +159,7 @@ class Tape:
         while nodes:
             node = nodes.pop()
             g = node.out._grad
-            # a non-zero first entry settles it without scanning the array
-            if g is None or not ((g.size and g.item(0)) or g.any()):
+            if g is None:
                 continue
             for parent, pg in zip(node.parents, node.backward_fn(g)):
                 if parent._grad is None:

@@ -13,11 +13,13 @@ here guarantees stability of K*.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import model
 from .errors import ContractError, DataError, DegenerateDataError, DimensionError
 
 # relative singular-value cutoff for the pseudoinverse
@@ -68,10 +70,21 @@ def monomial_exponents(n_vars: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def monomial_features(X: np.ndarray, degree: int) -> np.ndarray:
-    """Stack monomial observables of column-stacked states X (n x N)."""
+    """Stack monomial observables of column-stacked states X (n x N).
+
+    A float64 feature matrix larger than ``model.MAX_TAPE_BYTES`` raises
+    ``ContractError`` before any monomial is listed.
+    """
     X = np.asarray(X, dtype=np.float64)
+    (n, N), p = X.shape, max(degree, 0)
+    needed = 8 * (math.comb(n + p, p) - 1) * N
+    if needed > model.MAX_TAPE_BYTES:
+        raise ContractError(
+            f"monomials:{degree} of {n} variables at {N} snapshots would hold "
+            f"{needed / 2**30:.3g} GiB of features, more than the "
+            f"{model.MAX_TAPE_BYTES / 2**30:g} GiB limit; lower the degree")
     rows = [np.prod(X[list(idx), :], axis=0)
-            for idx in monomial_exponents(X.shape[0], degree)]
+            for idx in monomial_exponents(n, degree)]
     return np.vstack(rows)
 
 

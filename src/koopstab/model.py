@@ -153,18 +153,17 @@ class KoopmanModel:
         ``k_init='certified'`` starts at 0.99 I (stability margin 0.01), so
         the constraint thresholds are pinned at zero from the first step;
         ``'infeasible'`` starts at 1.5 I to exercise recovery from a violated
-        stability condition. Sizes whose parameters alone would exceed
-        ``MAX_TAPE_BYTES`` raise ``ContractError`` before anything is
-        allocated; ``tape_bytes`` counts them too, so no step could train them.
+        stability condition. Sizes whose tape would exceed ``MAX_TAPE_BYTES``
+        with no data at all (``tape_bytes``) raise ``ContractError`` before
+        anything is allocated: every training step's tape holds at least that.
         """
         sizes = [n, *hidden, d]
-        # each float32 encoder layer and its mirror in the decoder; float64 K and S
-        needed = sum(4 * (2 * a * b + a + b) for a, b in zip(sizes, sizes[1:])) + 16 * d * d
+        needed = tape_bytes(sizes, sizes[::-1], np.float32, 0, 0, 0)
         if needed > MAX_TAPE_BYTES:
             raise ContractError(
-                f"layer sizes {sizes} would hold {needed / 2**30:.3g} GiB of parameters, "
-                f"more than the {MAX_TAPE_BYTES / 2**30:g} GiB limit; lower lift_dim "
-                f"or hidden")
+                f"layer sizes {sizes} would hold {needed / 2**30:.3g} GiB on a step's "
+                f"tape, more than the {MAX_TAPE_BYTES / 2**30:g} GiB limit; lower "
+                f"lift_dim or hidden")
         rng = np.random.default_rng(seed)
         encoder = MlpParams.init(sizes, activation, rng)
         decoder = MlpParams.init(sizes[::-1], activation, rng)
@@ -314,26 +313,27 @@ def _check_horizon(T: int, horizon: int) -> None:
 MAX_TAPE_BYTES = 1 << 30
 
 
-def tape_bytes(model: KoopmanModel, n_samples: int, n_windows: int,
-               horizon: int) -> int:
+def tape_bytes(encoder_sizes: Sequence[int], decoder_sizes: Sequence[int], dtype,
+               n_samples: int, n_windows: int, horizon: int) -> int:
     """Bytes of the arrays a training step's tape holds, with every loss term on.
 
-    In the model's dtype: the encoder and decoder leaves. Per sample: the
-    data, every encoder layer and, for the rec term, every decoder layer.
-    Per window: the initial lifted state and the rollout's H iterates, the
-    rec term's H + 1 gathered data targets and, for the pred term, every
-    decoder layer at each of the H steps. A float32 model adds S^-1 K S in
-    float32. In float64: the K and S leaves, and the S^-1 and S^-1 K S that
-    the ``similarity`` node keeps for its adjoint.
+    In the MLP ``dtype``: the encoder and decoder leaves, of the given layer
+    sizes. Per sample: the data, every encoder layer and, for the rec term,
+    every decoder layer. Per window: the initial lifted state and the
+    rollout's H iterates, the rec term's H + 1 gathered data targets and, for
+    the pred term, every decoder layer at each of the H steps. A float32 model
+    adds S^-1 K S in float32. In float64: the K and S leaves, and the S^-1 and
+    S^-1 K S that the ``similarity`` node keeps for its adjoint. With no data,
+    this is the least that any step's tape holds.
     """
-    n, d = model.n, model.d
-    enc = sum(model.encoder.layer_sizes[1:])
-    dec = sum(model.decoder.layer_sizes[1:])
-    mlp_floats = (sum(p.size for p in model.get_params().values()) - 2 * d * d
+    n, d = encoder_sizes[0], encoder_sizes[-1]
+    enc, dec = sum(encoder_sizes[1:]), sum(decoder_sizes[1:])
+    mlp_floats = (sum(a * b + b for sizes in (encoder_sizes, decoder_sizes)
+                      for a, b in zip(sizes, sizes[1:]))
                   + n_samples * (n + enc + dec)
                   + n_windows * ((horizon + 1) * (d + n) + horizon * dec)
-                  + (d * d if model.dtype != np.float64 else 0))
-    return model.dtype.itemsize * mlp_floats + 8 * 4 * d * d
+                  + (d * d if np.dtype(dtype) != np.float64 else 0))
+    return np.dtype(dtype).itemsize * mlp_floats + 8 * 4 * d * d
 
 
 def sliding_window_loss(bound: BoundModel, batch: Sequence,
@@ -363,7 +363,8 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
         _check_horizon(X.shape[0], H)
     offsets = np.cumsum([0] + [X.shape[0] for X in arrays])
     n_windows = int(offsets[-1]) - H * len(arrays)
-    needed = tape_bytes(bound.model, int(offsets[-1]), n_windows, H)
+    needed = tape_bytes(bound.model.encoder.layer_sizes, bound.model.decoder.layer_sizes,
+                        bound.model.dtype, int(offsets[-1]), n_windows, H)
     if needed > MAX_TAPE_BYTES:
         raise DataError(
             f"a step over {n_windows} windows of {len(arrays)} trajectories would "

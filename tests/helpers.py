@@ -320,7 +320,7 @@ def gather_cols_adjoint_bincount(g: np.ndarray, idx, rows: int, cols: int) -> np
 
 
 def backward_out_of_place(tape: ad.Tape, loss: DiffValue) -> None:
-    """``Tape.backward`` that forms every sum as a new array and scans every gradient."""
+    """``Tape.backward`` that forms every sum as a new array."""
     nodes, tape._nodes = tape._nodes, []
     tape._released = len(nodes)
     tape._backward_done = True
@@ -328,7 +328,7 @@ def backward_out_of_place(tape: ad.Tape, loss: DiffValue) -> None:
     while nodes:
         node = nodes.pop()
         g = node.out._grad
-        if g is None or not g.any():
+        if g is None:
             continue
         for parent, pg in zip(node.parents, node.backward_fn(g)):
             parent._grad = pg if parent._grad is None else parent._grad + pg

@@ -600,7 +600,7 @@ def _fan_in(tape, x0, w0, y0):
 
     ``add(x, y)`` is recorded last among x's consumers, so x's first
     contribution comes from the add that also feeds y. A fourth term,
-    through ``scale(x, 0.0)``, has an all-zero gradient that the sweep skips.
+    through ``scale(x, 0.0)``, hands x an all-zero gradient.
     """
     x, w, y = tape.leaf(x0), tape.leaf(w0), tape.leaf(y0)
     terms = [ad.sum_sq_norm(ad.scale(x, 0.0)),

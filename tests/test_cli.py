@@ -365,14 +365,19 @@ class TestTrainCommand:
         assert not (tmp_path / "run" / "history.csv").exists()
 
     @pytest.mark.parametrize("setting", [dict(lift_dim=1000000),
-                                         dict(hidden="1000000 1000000")])
+                                         dict(hidden="1000000 1000000"),
+                                         dict(lift_dim=8000)])
     def test_model_over_the_tape_limit_exits_2_before_allocating(self, tmp_path, capsys,
-                                                                 setting):
-        # 16 TB of K and S, or 8 TB of MLP weights: numpy fails at once on either
+                                                                 monkeypatch, setting):
+        # 16 TB of K and S, 8 TB of MLP weights, or 2.3 GB of K, S, S^-1 and
+        # S^-1 K S on an empty tape against 1 GB of parameters
+        def allocate(*args, **kwargs):
+            raise AssertionError("the model was allocated")
+        monkeypatch.setattr(koopstab.model.MlpParams, "init", allocate)
         cfg = write_config(tmp_path, **setting)
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "GiB of parameters, more than the 1 GiB limit; lower lift_dim" in err
+        assert "GiB on a step's tape, more than the 1 GiB limit; lower lift_dim" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("exc, message", [
@@ -643,6 +648,19 @@ class TestEdmdCommand:
                      "--out", str(tmp_path / "K.csv")])
         assert code == 2
         assert "monomial degree" in capsys.readouterr().err
+
+    def test_monomials_over_the_byte_limit_exit_2_before_listing_them(
+            self, tmp_path, capsys, monkeypatch):
+        # 4,504,500 features of 560 snapshot columns: about 20 GB in float64
+        def listing(*args):
+            raise AssertionError("the monomials were listed")
+        monkeypatch.setattr(koopstab.edmd, "monomial_exponents", listing)
+        code = main(["edmd", "synth:spiral", "--dictionary", "monomials:3000",
+                     "--out", str(tmp_path / "K.csv")])
+        assert code == 2
+        assert ("monomials:3000 of 2 variables at 560 snapshots would hold 18.8 GiB"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "K.csv").exists()
 
 
 def drop_config_lines(path, keys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koopstab.errors import DataError, DegenerateDataError, DimensionError, NumericError
-from koopstab.metrics import MetricsReport, build_report, nmse, norm_std_single
+from koopstab.metrics import MetricsReport, build_report, nmse
 
 
 def sample_truth(rng, T=20, n=2):
@@ -120,13 +120,13 @@ class TestNormStd:
 
     @pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
     def test_non_finite_error_spread_is_a_numeric_failure(self, bad):
-        # norm_std_single checks on its own; build_report runs nmse's check first
+        # the error norms overflow only where the mean squared error already has
         rng = np.random.default_rng(87)
-        x = sample_truth(rng)
-        p = x.copy()
-        p[3, 0] = bad
+        xs = [sample_truth(rng) for _ in range(2)]
+        ps = [x.copy() for x in xs]
+        ps[1][3, 0] = bad
         with pytest.raises(NumericError, match="trajectory 1: non-finite"):
-            norm_std_single(p, x, 1)
+            build_report(ps, xs, spectral_radius=1.0, barrier_margin=0.0)
 
 
 class TestReport:

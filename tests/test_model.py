@@ -46,6 +46,11 @@ def tiny_model(seed=0, n=2, d=3, hidden=(4,), k_init="certified", dtype=np.float
                                             k_init=k_init), dtype)
 
 
+def model_shape(m):
+    """The encoder sizes, decoder sizes and MLP dtype that ``tape_bytes`` reads."""
+    return m.encoder.layer_sizes, m.decoder.layer_sizes, m.dtype
+
+
 def linear_identity_model(A):
     """n = d model where encode/decode are the identity and K = A, S = I."""
     d = A.shape[0]
@@ -452,7 +457,7 @@ class TestSlidingWindowLoss:
                 tracemalloc.stop()
             assert len(bound.tape) == 21
             assert live - bound_at < 6e6
-            estimate = tape_bytes(m, n_samples, n_samples - 2 * 10, 10)
+            estimate = tape_bytes(*model_shape(m), n_samples, n_samples - 2 * 10, 10)
             assert 0.9 < estimate / (live - start) < 1.1, dtype
             assert loss.value.shape == (1, 1)
 
@@ -474,14 +479,14 @@ class TestSlidingWindowLoss:
                 if isinstance(arr, np.ndarray) and arr.dtype in ad.FLOAT_DTYPES:
                     arrays[id(arr)] = arr
         held = sum(arr.nbytes for arr in arrays.values() if arr.shape != (1, 1))
-        assert held == tape_bytes(m, 13, 9, 2)
+        assert held == tape_bytes(*model_shape(m), 13, 9, 2)
 
     def test_batch_over_the_tape_limit_is_refused_before_recording(self, monkeypatch):
         rng = np.random.default_rng(73)
         m = tiny_model(seed=12)
         trajs = [rng.normal(size=(7, 2)), rng.normal(size=(6, 2))]
         w = LossWeights(horizon=2)
-        needed = tape_bytes(m, 13, 9, 2)
+        needed = tape_bytes(*model_shape(m), 13, 9, 2)
         monkeypatch.setattr(model_module, "MAX_TAPE_BYTES", needed - 1)
         tape = Tape()
         with pytest.raises(DataError, match="9 windows of 2 trajectories.*batch_size"):
@@ -827,6 +832,21 @@ class TestCheckpoint:
 
 
 class TestParams:
+    def test_init_refuses_a_model_whose_empty_tape_is_over_the_limit(self, monkeypatch):
+        sizes = [2, 4, 3]
+        needed = tape_bytes(sizes, sizes[::-1], np.float32, 0, 0, 0)
+        assert needed == tape_bytes(*model_shape(tiny_model()), 0, 0, 0)
+        monkeypatch.setattr(model_module, "MAX_TAPE_BYTES", needed - 1)
+        with monkeypatch.context() as patch:
+            def allocate(*args, **kwargs):
+                raise AssertionError("the model was allocated")
+            patch.setattr(MlpParams, "init", allocate)
+            with pytest.raises(ContractError, match=r"\[2, 4, 3\] would hold .* GiB on a "
+                                                     r"step's tape.*lower lift_dim or hidden"):
+                KoopmanModel.init(n=2, d=3, hidden=(4,))
+        monkeypatch.setattr(model_module, "MAX_TAPE_BYTES", needed)
+        assert KoopmanModel.init(n=2, d=3, hidden=(4,)).encoder.layer_sizes == sizes
+
     def test_infeasible_init_violates_condition(self):
         m = tiny_model(k_init="infeasible")
         assert not certify_stable(m.K).certified
