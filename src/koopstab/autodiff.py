@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over dense matrices.
 
 Everything is a 2-D float array: vectors are (n, 1) columns, scalars are
-(1, 1), and :meth:`Tape.leaf` refuses any other rank. A value is float32
-or float64, and each gradient has its value's dtype. An operation computes
-in its operands' dtype, so a model can run its MLP layers in float32 while
-the matrices it differentiates through an inverse stay float64:
+(1, 1), and :meth:`Tape.leaf` and :meth:`Tape.constant` refuse any other
+rank. A value is float32 or float64, and each gradient has its value's
+dtype. An operation computes in its operands' dtype, so a model can run
+its MLP layers in float32 while the matrices it differentiates through an
+inverse stay float64:
 :func:`similarity` forms ``inv(S) @ K @ S`` from float64 ``S`` and ``K``,
 hands it over in another precision and returns float64 gradients, and
 :func:`gather_sq_dist` sums in float64 whatever its operands' dtype, so a
@@ -51,6 +52,12 @@ A training step records only :func:`dense`, :func:`similarity`,
 :func:`gather_cols`, :func:`rollout`, :func:`gather_sq_dist`, :func:`add`
 and :func:`scale`.
 
+Data enters a tape as a constant (:meth:`Tape.constant`): the caller's
+array itself, neither copied nor scanned, that never receives a gradient.
+The sweep drops every contribution to a constant, and the adjoints of
+:func:`dense` and :func:`gather_sq_dist` do not form the products that
+would make one.
+
 Only the operations needed to train small fully-connected networks and to
 differentiate through products like ``inv(S) @ K @ S`` are provided. There
 is no broadcasting beyond the explicit column-bias cases in
@@ -79,7 +86,8 @@ class DiffValue:
 
     ``grad`` has the same shape as ``value`` and holds d(loss)/d(value)
     after a backward pass from a scalar loss. No gradient array exists
-    until the pass reaches the value; an unreached value reads as zeros.
+    until the pass reaches the value; an unreached value, like a constant
+    (:meth:`Tape.constant`), reads as zeros.
     The array belongs to this value alone: no other value's gradient shares
     its memory, and the adjoints of :func:`dense` and :func:`rollout` use
     their output's array as workspace, so after the pass it holds their
@@ -88,6 +96,9 @@ class DiffValue:
     """
 
     __slots__ = ("value", "_grad", "_tape", "__weakref__")
+
+    # False for a constant, which the backward sweep gives no gradient
+    needs_grad = True
 
     def __init__(self, value: np.ndarray, tape: "Tape"):
         self.value = value
@@ -99,6 +110,13 @@ class DiffValue:
         if self._grad is None:
             return np.zeros_like(self.value)
         return self._grad
+
+
+class _Constant(DiffValue):
+    """A data operand: the caller's array, which no gradient reaches."""
+
+    __slots__ = ()
+    needs_grad = False
 
 
 class _Node:
@@ -120,7 +138,7 @@ class Tape:
         self._backward_done = False
 
     def leaf(self, value) -> DiffValue:
-        """Register a copy of a 2-D input (parameter or data constant) on this tape.
+        """Register a copy of a 2-D input to differentiate, such as a parameter.
 
         A float32 or float64 input keeps its dtype; any other becomes float64.
         """
@@ -133,6 +151,17 @@ class Tape:
             raise ContractError("leaf values must be finite")
         return DiffValue(arr, self)
 
+    def constant(self, value: np.ndarray) -> DiffValue:
+        """Register a 2-D float array as data: not copied, not scanned, no gradient.
+
+        No operation writes its operands, so the tape reads ``value`` itself,
+        and the caller answers for its values being finite.
+        """
+        if value.ndim != 2 or value.dtype not in FLOAT_DTYPES:
+            raise DimensionError(
+                f"a constant must be a 2-D float array, got {value.dtype} {value.shape}")
+        return _Constant(value, self)
+
     def _record(self, out: DiffValue, parents: Sequence[DiffValue],
                 backward_fn: Callable[[np.ndarray], tuple]) -> DiffValue:
         self._nodes.append(_Node(out, tuple(parents), backward_fn))
@@ -143,7 +172,8 @@ class Tape:
 
         ``loss`` must be a (1, 1) scalar produced on this tape. The sweep skips
         an operation only when no loss reaches it (its gradient is ``None``),
-        and releases each once its adjoint is applied: one backward per tape.
+        drops what an adjoint returns for a constant, and releases each
+        operation once its adjoint is applied: one backward per tape.
         """
         if loss._tape is not self._ref:
             raise ContractError("loss was not computed on this tape")
@@ -162,6 +192,8 @@ class Tape:
             if g is None:
                 continue
             for parent, pg in zip(node.parents, node.backward_fn(g)):
+                if not parent.needs_grad:
+                    continue
                 if parent._grad is None:
                     parent._grad = pg
                 else:
@@ -339,7 +371,8 @@ def dense(w: DiffValue, x: DiffValue, b: DiffValue, fn: str) -> DiffValue:
     ``b`` is a (rows of w, 1) bias column added to every column. Only the
     product is a new array: the bias and the activation are applied to it
     in place, and ``w``, ``x`` and ``b`` are never written. The adjoint
-    applies the activation's slope in place in the output's gradient array.
+    applies the activation's slope in place in the output's gradient array,
+    and forms no gradient for an ``x`` that is a constant.
     """
     tape = _same_tape(w, x, b)
     if w.value.shape[1] != x.value.shape[0]:
@@ -351,10 +384,11 @@ def dense(w: DiffValue, x: DiffValue, b: DiffValue, fn: str) -> DiffValue:
     wv, xv = w.value, x.value
     h = dense_forward(wv, xv, b.value, fn)
     out = DiffValue(h, tape)
+    need_x = x.needs_grad
 
     def backward_fn(g):
         gz = _activation_adjoint(g, h, fn)
-        return gz @ xv.T, wv.T @ gz, gz.sum(axis=1, keepdims=True)
+        return gz @ xv.T, wv.T @ gz if need_x else None, gz.sum(axis=1, keepdims=True)
 
     return tape._record(out, (w, x, b), backward_fn)
 
@@ -445,7 +479,8 @@ def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
 
     No array of its own outlives the call: the forward squares the residual
     in place, and the adjoint gathers it again from ``a`` and ``b``, which
-    are never written, and negates it in place for ``b``'s gradient. The
+    are never written, scatters it for ``a``'s gradient and negates it in
+    place for ``b``'s, each only when that operand is not a constant. The
     residual and its squares are in the operands' dtype, their sum is
     accumulated in float64, and the gradients have the operands' dtype. For
     float64 operands the value and both gradients are the float operations
@@ -457,6 +492,7 @@ def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
         raise DimensionError(
             f"gather_sq_dist: {idx.size} columns of {a.value.shape} vs {b.value.shape}")
     av, bv = a.value, b.value
+    need_a, need_b = a.needs_grad, b.needs_grad
 
     def residual():
         r = np.take(av, idx, axis=1)
@@ -471,8 +507,7 @@ def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
         gr = residual()
         # a Python float keeps a float32 residual's loop in float32
         gr *= float(2.0 * g[0, 0])
-        ga = _scatter_cols(gr, idx, av.shape[1])
-        np.negative(gr, out=gr)
-        return ga, gr
+        ga = _scatter_cols(gr, idx, av.shape[1]) if need_a else None
+        return ga, np.negative(gr, out=gr) if need_b else None
 
     return tape._record(out, (a, b), backward_fn)

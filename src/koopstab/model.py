@@ -31,8 +31,9 @@ line existed, as a float64 model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -336,6 +337,57 @@ def tape_bytes(encoder_sizes: Sequence[int], decoder_sizes: Sequence[int], dtype
     return np.dtype(dtype).itemsize * mlp_floats + 8 * 4 * d * d
 
 
+class WindowPlan(NamedTuple):
+    """Where every stride-1 window of a batch sits among its stacked samples.
+
+    The index arrays are read-only, because ``window_plan`` hands the same
+    plan to every batch of the same trajectory lengths and horizon.
+    """
+
+    n_trajectories: int
+    n_samples: int
+    n_windows: int
+    horizon: int
+    starts: np.ndarray       # each window's first sample
+    window_cols: np.ndarray  # the sample at step k of every window, k = 0..H, k-major
+    ahead: np.ndarray        # window_cols without step 0: the rollout's targets
+
+
+@lru_cache(maxsize=64)
+def window_plan(lengths: tuple[int, ...], horizon: int) -> WindowPlan:
+    """The plan of a batch whose trajectories have ``lengths`` samples, in order.
+
+    Built once per (lengths, horizon) and shared; a trajectory shorter than
+    horizon + 1 samples raises ``DataError``.
+    """
+    for T in lengths:
+        _check_horizon(T, horizon)
+    offsets = np.cumsum((0,) + lengths)
+    n_windows = int(offsets[-1]) - horizon * len(lengths)
+    starts = np.concatenate([off + np.arange(T - horizon)
+                             for off, T in zip(offsets, lengths)])
+    # k-major like the rollout
+    window_cols = (starts + np.arange(horizon + 1)[:, None]).ravel()
+    ahead = window_cols[n_windows:]
+    for arr in (starts, window_cols, ahead):
+        arr.flags.writeable = False
+    return WindowPlan(len(lengths), int(offsets[-1]), n_windows, horizon,
+                      starts, window_cols, ahead)
+
+
+def check_tape_fits(model: KoopmanModel, plan: WindowPlan) -> None:
+    """Raise ``DataError`` when a step over ``plan``'s batch would record more
+    than ``MAX_TAPE_BYTES`` on its tape (see ``tape_bytes``)."""
+    needed = tape_bytes(model.encoder.layer_sizes, model.decoder.layer_sizes,
+                        model.dtype, plan.n_samples, plan.n_windows, plan.horizon)
+    if needed > MAX_TAPE_BYTES:
+        raise DataError(
+            f"a step over {plan.n_windows} windows of {plan.n_trajectories} trajectories "
+            f"would record {needed / 2**30:.3g} GiB on the tape, more than the "
+            f"{MAX_TAPE_BYTES / 2**30:g} GiB limit; lower batch_size (trajectories "
+            f"per step) or train on shorter trajectories")
+
+
 def sliding_window_loss(bound: BoundModel, batch: Sequence,
                         weights: LossWeights,
                         components: dict | None = None) -> DiffValue:
@@ -347,7 +399,10 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
     encoding of all samples. The lin and pred terms are one
     ``gather_sq_dist`` node each over the whole horizon, and so is the rec
     term over every window, so cost scales with matrix sizes rather than
-    window count or horizon.
+    window count or horizon. The window indices come from ``window_plan``,
+    built once per trajectory lengths and horizon. The states, cast to the
+    model's dtype, and the rec term's targets enter the tape as constants:
+    they are not copied again, not scanned, and get no gradient.
 
     When ``components`` is given it is filled with the unweighted per-window
     means of the three terms (zero for terms whose weight is zero).
@@ -359,37 +414,23 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
         raise DataError("empty batch")
     H = weights.horizon
     arrays = [_states_matrix(states) for states in batch]
-    for X in arrays:
-        _check_horizon(X.shape[0], H)
-    offsets = np.cumsum([0] + [X.shape[0] for X in arrays])
-    n_windows = int(offsets[-1]) - H * len(arrays)
-    needed = tape_bytes(bound.model.encoder.layer_sizes, bound.model.decoder.layer_sizes,
-                        bound.model.dtype, int(offsets[-1]), n_windows, H)
-    if needed > MAX_TAPE_BYTES:
-        raise DataError(
-            f"a step over {n_windows} windows of {len(arrays)} trajectories would "
-            f"record {needed / 2**30:.3g} GiB on the tape, more than the "
-            f"{MAX_TAPE_BYTES / 2**30:g} GiB limit; lower batch_size (trajectories "
-            f"per step) or train on shorter trajectories")
-    X_all = np.vstack(arrays, dtype=bound.model.dtype).T
-    starts = np.concatenate([
-        off + np.arange(X.shape[0] - H) for off, X in zip(offsets, arrays)])
-    # the sample at step k of every window, k = 0..H, k-major like the rollout
-    window_cols = (starts + np.arange(H + 1)[:, None]).ravel()
-    ahead = window_cols[n_windows:]
+    plan = window_plan(tuple(X.shape[0] for X in arrays), H)
+    check_tape_fits(bound.model, plan)
+    n_windows, window_cols, ahead = plan.n_windows, plan.window_cols, plan.ahead
+    X_all = np.concatenate([X.T for X in arrays], axis=1, dtype=bound.model.dtype)
 
-    X_leaf = bound.tape.leaf(X_all)
-    Psi_all = bound.encode(X_leaf)
-    Z = ad.rollout(bound.effective(), ad.gather_cols(Psi_all, starts), H)
+    X = bound.tape.constant(X_all)
+    Psi_all = bound.encode(X)
+    Z = ad.rollout(bound.effective(), ad.gather_cols(Psi_all, plan.starts), H)
     pred_total = lin_total = rec_total = None
     if weights.lin > 0.0:
         lin_total = ad.gather_sq_dist(Psi_all, ahead, Z)
     if weights.pred > 0.0:
-        pred_total = ad.gather_sq_dist(X_leaf, ahead, bound.decode(Z))
+        pred_total = ad.gather_sq_dist(X, ahead, bound.decode(Z))
     if weights.rec > 0.0:
         # each sample enters once per window containing it
         rec_total = ad.gather_sq_dist(bound.decode(Psi_all), window_cols,
-                                      bound.tape.leaf(X_all[:, window_cols]))
+                                      bound.tape.constant(X_all[:, window_cols]))
     parts = [ad.scale(term, w) for term, w in ((pred_total, weights.pred),
                                                (lin_total, weights.lin),
                                                (rec_total, weights.rec))

@@ -44,8 +44,10 @@ from .model import (
     BoundModel,
     KoopmanModel,
     LossWeights,
+    check_tape_fits,
     save_checkpoint,
     sliding_window_loss,
+    window_plan,
 )
 from .projection import barrier_threshold, displacement, pgd_project
 from .stability import MODES, barrier_values, spectral_radius
@@ -158,25 +160,55 @@ def setting_text(value) -> str:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the shared step counter."""
+    """Adam's step counter and moments, held in one buffer pair per dtype.
+
+    The parameters of each dtype (the float32 encoder and decoder arrays,
+    the float64 K and S) share one flat ``m`` buffer and one flat ``v``
+    buffer, in the order ``params`` lists them; ``m[name]`` and ``v[name]``
+    are views of them shaped like the parameter.
+    """
 
     step: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    # per dtype: its parameters' names in order, and their m and v buffers
+    groups: list[tuple[tuple[str, ...], np.ndarray, np.ndarray]]
 
     @classmethod
     def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(step=0,
-                   m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+        names_of: dict[np.dtype, list[str]] = {}
+        for name, p in params.items():
+            names_of.setdefault(p.dtype, []).append(name)
+        m, v, groups = {}, {}, []
+        for dtype, names in names_of.items():
+            m_buf = np.zeros(sum(params[name].size for name in names), dtype)
+            v_buf = np.zeros_like(m_buf)
+            m.update(_flat_views(m_buf, names, params))
+            v.update(_flat_views(v_buf, names, params))
+            groups.append((tuple(names), m_buf, v_buf))
+        return cls(step=0, m=m, v=v, groups=groups)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig) -> None:
     """One bias-corrected Adam update, written in place into the arrays of
-    ``params`` and the moments of ``state``; it copies no parameter array."""
+    ``params`` and the moments of ``state``.
+
+    Each dtype's parameters update together: their gradients and values are
+    gathered into two scratch buffers, which carry every intermediate, and
+    the update runs once over the whole buffer, with one finiteness scan of
+    the gradients and one of the new values and second moments. The float
+    operations per entry are those of a per-array update. A non-finite
+    gradient, or an update that overflows, raises ``NumericError`` naming
+    the first parameter affected, before that dtype's parameters are written.
+    """
     if set(params) != set(grads):
         raise ContractError("parameter and gradient names differ")
+    if set(params) != set(state.m):
+        raise ContractError("parameter names differ from the Adam state's")
+    for name, p in params.items():
+        if grads[name].shape != p.shape:
+            raise ContractError(f"{name}: gradient shape {grads[name].shape} != {p.shape}")
     state.step += 1
     t = state.step
     b1, b2 = _BETA1, _BETA2
@@ -184,32 +216,44 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bias2 = 1.0 - b2 ** t
     # an overflow leaves Inf or NaN behind, which the explicit checks name
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ContractError(f"{name}: gradient shape {g.shape} != {p.shape}")
+        for names, m, v in state.groups:
+            g = np.concatenate([grads[name] for name in names], axis=None, dtype=m.dtype)
             if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient in parameter {name!r} "
-                                   f"at step {t}")
+                bad = next(name for name in names if not np.all(np.isfinite(grads[name])))
+                raise NumericError(f"non-finite gradient in parameter {bad!r} at step {t}")
             # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps), with the same
-            # float operations in the same order, in two scratch arrays
-            m, v = state.m[name], state.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
+            # float operations in the same order, in the two scratch arrays
             gg = np.multiply(g, g)
             gg *= 1.0 - b2
+            g *= 1.0 - b1
+            m *= b1
+            m += g
             v *= b2
             v += gg
-            step = np.divide(m, bias1)
+            step = np.divide(m, bias1, out=g)
             step *= config.lr
             den = np.divide(v, bias2, out=gg)
             np.sqrt(den, out=den)
             den += _EPS
             step /= den
-            p -= step
-            if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
-                raise NumericError(f"Adam step {t} left parameter {name!r} or its "
+            new = np.concatenate([params[name] for name in names], axis=None, out=gg)
+            new -= step
+            if not (np.all(np.isfinite(new)) and np.all(np.isfinite(v))):
+                bad = next(name for name, p in _flat_views(new, names, params)
+                           if not (np.all(np.isfinite(p)) and np.all(np.isfinite(state.v[name]))))
+                raise NumericError(f"Adam step {t} left parameter {bad!r} or its "
                                    f"second moment non-finite")
+            for name, p in _flat_views(new, names, params):
+                params[name][...] = p
+
+
+def _flat_views(flat: np.ndarray, names, params: dict[str, np.ndarray]):
+    """(name, the part of ``flat`` holding that parameter, in its shape), in order."""
+    start = 0
+    for name in names:
+        shape, end = params[name].shape, start + params[name].size
+        yield name, flat[start:end].reshape(shape)
+        start = end
 
 
 @dataclass
@@ -282,6 +326,20 @@ def _predict_split(model: KoopmanModel, trajs, Keff: np.ndarray) -> list[np.ndar
             for t in trajs]
 
 
+def _check_states_fit(model: KoopmanModel, dataset: Dataset) -> None:
+    """Refuse, with ``DataError``, a train or val state that is not finite in
+    the model's dtype: the loss takes the states as tape constants, which
+    nothing scans again."""
+    for split in ("train", "val"):
+        for k, t in enumerate(dataset.subset(split)):
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(t.states.astype(model.dtype)).all(axis=1)
+            if not finite.all():
+                raise DataError(
+                    f"{split} trajectory {k}: state {np.argmin(finite)} overflows "
+                    f"{model.dtype}, the model's dtype; normalize the data or scale it down")
+
+
 def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
           checkpoint_path=None, checkpoint_every: int = 0,
           checkpoint_config: dict[str, str] | None = None) -> TrainHistory:
@@ -294,6 +352,11 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
     hold ``checkpoint_config``, by default ``config.as_dict()``; the CLI
     passes the whole run's settings. Training first calls ``keep_heap``,
     which tunes the allocator of the whole process.
+
+    Before anything is allocated, every train and val state must be finite
+    in the model's dtype, and the largest batch (the ``batch_size`` longest
+    train trajectories) must fit the tape (``model.check_tape_fits``); either
+    failure raises ``DataError``.
     """
     if checkpoint_config is None:
         checkpoint_config = config.as_dict()
@@ -304,6 +367,10 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
     if dataset.dim != model.n:
         raise ContractError(
             f"model expects {model.n}-dimensional states, data has {dataset.dim}")
+    _check_states_fit(model, dataset)
+    longest = sorted((len(states) for states in train_trajs), reverse=True)
+    check_tape_fits(model, window_plan(tuple(longest[:config.batch_size or None]),
+                                       config.weights.horizon))
     components_buf: dict[str, float] = {}
     rng = np.random.default_rng(config.seed)
     adam = AdamState.init(model.get_params())

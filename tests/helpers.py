@@ -320,7 +320,7 @@ def gather_cols_adjoint_bincount(g: np.ndarray, idx, rows: int, cols: int) -> np
 
 
 def backward_out_of_place(tape: ad.Tape, loss: DiffValue) -> None:
-    """``Tape.backward`` that forms every sum as a new array."""
+    """``Tape.backward`` that forms every sum as a new array; constants get none."""
     nodes, tape._nodes = tape._nodes, []
     tape._released = len(nodes)
     tape._backward_done = True
@@ -331,7 +331,8 @@ def backward_out_of_place(tape: ad.Tape, loss: DiffValue) -> None:
         if g is None:
             continue
         for parent, pg in zip(node.parents, node.backward_fn(g)):
-            parent._grad = pg if parent._grad is None else parent._grad + pg
+            if parent.needs_grad:
+                parent._grad = pg if parent._grad is None else parent._grad + pg
 
 
 def tanh_adjoint_reference(g: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -372,6 +372,43 @@ def test_gather_sq_dist_equals_the_gather_sub_sum_sq_norm_chain(idx, c):
         assert same_bits(got, want)  # forward and backward write no input
 
 
+# ------------------------------------------------------------- constants
+
+def test_a_constant_is_the_callers_array_and_gets_no_gradient():
+    """As ``dense``'s input, as either operand of ``gather_sq_dist`` and as an
+    operand of ``matmul``, which forms its gradient anyway: every value and
+    every other gradient equals, bit for bit, the tape's with leaves instead."""
+    rng = np.random.default_rng(14)
+    w0, x0 = rng.standard_normal((4, 4)), rng.standard_normal((4, 7))
+    b0, t0 = rng.standard_normal((4, 1)), rng.standard_normal((4, 3))
+    idx = [0, 2, 2]
+
+    def run(data):
+        tape = ad.Tape()
+        w, b, x, target = tape.leaf(w0), tape.leaf(b0), data(tape, x0), data(tape, t0)
+        h = ad.dense(w, x, b, "tanh")
+        loss = ad.add(ad.add(ad.gather_sq_dist(x, idx, ad.gather_cols(h, [1, 3, 5])),
+                             ad.gather_sq_dist(h, idx, target)),
+                      ad.sum_sq_norm(ad.matmul(w, x)))
+        tape.backward(loss)
+        return [loss.value, w.grad, b.grad], (x, target)
+
+    got, (x, target) = run(ad.Tape.constant)
+    want, (x_leaf, target_leaf) = run(ad.Tape.leaf)
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
+    assert x.value is x0 and target.value is t0
+    assert x._grad is None and target._grad is None
+    assert x_leaf._grad is not None and target_leaf._grad is not None
+    assert same_bits(x0, x_leaf.value) and same_bits(t0, target_leaf.value)
+
+
+@pytest.mark.parametrize("value", [np.ones(3), np.ones((2, 2), int), np.ones((1, 1, 1))])
+def test_constant_refuses_anything_but_a_2d_float_array(value):
+    with pytest.raises(DimensionError, match="constant"):
+        ad.Tape().constant(value)
+
+
 # ----------------------------------------------------- tape lifetime, fan-out
 
 def test_backward_releases_the_step_without_the_cycle_collector():

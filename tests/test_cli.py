@@ -364,6 +364,42 @@ class TestTrainCommand:
         assert "windows" in err and "batch_size" in err
         assert not (tmp_path / "run" / "history.csv").exists()
 
+    def test_largest_batch_over_the_tape_limit_exits_2_before_adam_allocates(
+            self, tmp_path, capsys, monkeypatch):
+        # the console-script check's long.cfg: one 8-s spiral of 160,001
+        # samples at dt = 5e-5 trains as one batch of 159,991 windows
+        data = write_csv_dir(tmp_path / "long", synth_stable_spiral(n_traj=3))
+        def allocate(*args, **kwargs):
+            raise AssertionError("Adam's moments were allocated")
+        monkeypatch.setattr(koopstab.trainer.AdamState, "init", allocate)
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(f"data = {data}\ndt = 0.00005\nout = {tmp_path / 'run'}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "159991 windows of 1 trajectories" in err and "batch_size" in err
+        assert not (tmp_path / "run" / "history.csv").exists()
+
+    @pytest.mark.parametrize("bad, named", [(0, "train trajectory 0"),
+                                            (2, "val trajectory 1")])
+    def test_state_beyond_float32_exits_2_naming_its_trajectory(self, tmp_path, capsys,
+                                                                 monkeypatch, bad, named):
+        dataset = synth_stable_spiral(n_traj=3)
+        trajs = list(dataset.trajectories)
+        states = trajs[bad].states.copy()
+        states[4, 0] = 1e39
+        trajs[bad] = Trajectory(times=trajs[bad].times, states=states)
+        data = write_csv_dir(tmp_path / "trajs", replace(dataset, trajectories=trajs))
+        # refused once, before the first step: no loss is formed
+        def step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(koopstab.trainer, "sliding_window_loss", step)
+        cfg = write_config(tmp_path, data=str(data), normalize="false", center="false",
+                           n_val=2)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {named}: state 4 overflows float32, the model's dtype; normalize "
+            f"the data or scale it down\n")
+
     @pytest.mark.parametrize("setting", [dict(lift_dim=1000000),
                                          dict(hidden="1000000 1000000"),
                                          dict(lift_dim=8000)])

@@ -419,6 +419,57 @@ class TestSlidingWindowLoss:
             assert rel_err(bound_fast.leaves[name].grad,
                            bound_slow.leaves[name].grad) <= 1e-9
 
+    def test_matches_explicit_windows_as_batch_shapes_change(self):
+        """Each batch is new data; the third reuses the first one's plan."""
+        rng = np.random.default_rng(74)
+        m = tiny_model(seed=13, dtype=np.float64)
+        for horizon in (3, 4):
+            w = LossWeights(pred=1.0, lin=0.1, rec=1.0, horizon=horizon)
+            for lengths in ((7, 6), (6, 7), (7, 6)):
+                trajs = [rng.normal(size=(T, 2)) for T in lengths]
+                fast = float(sliding_window_loss(BoundModel(Tape(), m), trajs,
+                                                 w).value[0, 0])
+                windows = [traj[t:t + horizon + 1]
+                           for traj in trajs for t in range(traj.shape[0] - horizon)]
+                assert fast == pytest.approx(loss_value(m, windows, w), rel=1e-10), \
+                    (horizon, lengths)
+
+    def test_a_plan_is_built_once_and_cannot_be_written(self):
+        plan = model_module.window_plan((7, 6), 3)
+        assert model_module.window_plan((7, 6), 3) is plan
+        assert (plan.n_trajectories, plan.n_samples, plan.n_windows, plan.horizon) \
+            == (2, 13, 7, 3)
+        np.testing.assert_array_equal(plan.starts, [0, 1, 2, 3, 7, 8, 9])
+        np.testing.assert_array_equal(plan.window_cols,
+                                      (plan.starts + np.arange(4)[:, None]).ravel())
+        np.testing.assert_array_equal(plan.ahead, plan.window_cols[7:])
+        for arr in (plan.starts, plan.window_cols, plan.ahead):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_a_step_scatters_three_times_and_gives_its_data_no_gradient(self, monkeypatch):
+        """The initial gather and the lin and rec terms scatter into the
+        encoding and the decoding. The states and the rec targets are
+        constants: the pred term and the first encoder layer form nothing
+        for them, and neither holds a gradient array after the pass."""
+        calls = []
+        scatter = ad._scatter_cols
+        monkeypatch.setattr(ad, "_scatter_cols",
+                            lambda *args: calls.append(args) or scatter(*args))
+        rng = np.random.default_rng(75)
+        tape = Tape()
+        bound = BoundModel(tape, tiny_model(seed=14))
+        loss = sliding_window_loss(bound, [rng.normal(size=(9, 2)), rng.normal(size=(8, 2))],
+                                   LossWeights(horizon=3))
+        data = list({id(v): v for node in tape._nodes for v in node.parents
+                     if not v.needs_grad}.values())
+        tape.backward(loss)
+        assert len(calls) == 3
+        assert sorted(v.value.shape for v in data) == [(2, 17), (2, 44)]
+        assert all(v._grad is None for v in data)
+        assert all(leaf._grad is not None for leaf in bound.leaves.values())
+
     def test_criterion_09_shape_records_one_node_per_layer(self):
         """Each MLP layer is one node: 4 encoder and 2 x 4 decoder layers of 24.
 

@@ -1,10 +1,15 @@
 """Trainer tests: Adam mechanics, safety invariants, determinism, evaluation."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import koopstab
 from koopstab import trainer
 from koopstab.data import Trajectory, synth_stable_spiral
 from koopstab.errors import ContractError, DataError, DegenerateDataError, NumericError
@@ -172,6 +177,65 @@ class TestAdamStep:
                 assert same_bits(fast.m[k], slow.m[k])
                 assert same_bits(fast.v[k], slow.v[k])
 
+    def test_matches_the_plain_update_bit_for_bit_on_mixed_dtypes(self):
+        """float32 and float64 parameters interleaved, as no model orders them."""
+        rng = np.random.default_rng(61)
+        shapes = {"w": ((4, 3), np.float32), "K": ((3, 3), np.float64),
+                  "b": ((4, 1), np.float32), "S": ((3, 3), np.float64)}
+        params = {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-12, 1, s)).astype(dt)
+                  for k, (s, dt) in shapes.items()}
+        fast_params = {k: p.copy() for k, p in params.items()}
+        slow_params = params
+        fast, slow = AdamState.init(params), AdamState.init(params)
+        config = TrainConfig(lr=3e-2)
+
+        def same(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        for _ in range(6):
+            grads = {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-9, 9, s)).astype(dt)
+                     for k, (s, dt) in shapes.items()}
+            grads["K"][0] = -0.0
+            assert adam_step(fast_params, grads, fast, config) is None
+            slow_params = adam_step_reference(slow_params, grads, slow, config)
+            for k in shapes:
+                assert same(fast_params[k], slow_params[k]), k
+                assert same(fast.m[k], slow.m[k]) and same(fast.v[k], slow.v[k]), k
+
+    def test_moments_are_views_of_one_buffer_per_dtype(self):
+        params = small_model().get_params()
+        state = AdamState.init(params)
+        mlp = tuple(name for name in params if name not in ("K", "S"))
+        assert [(names, m.dtype, v.dtype) for names, m, v in state.groups] == [
+            (mlp, np.float32, np.float32), (("K", "S"), np.float64, np.float64)]
+        for names, m_buf, v_buf in state.groups:
+            assert m_buf.size == v_buf.size == sum(params[name].size for name in names)
+            for name in names:
+                assert state.m[name].shape == state.v[name].shape == params[name].shape
+                assert np.shares_memory(state.m[name], m_buf)
+                assert np.shares_memory(state.v[name], v_buf)
+        adam_step(params, {name: np.ones_like(p) for name, p in params.items()}, state,
+                  small_config())
+        for _, m_buf, v_buf in state.groups:
+            assert np.all(m_buf != 0.0) and np.all(v_buf != 0.0)
+
+    @pytest.mark.parametrize("bad, grad, lr, message", [
+        # float32 b overflows; the dtype's parameters are left as they were
+        ("b", [[0.0, -1.0]], 1e38, "left parameter 'b'"),
+        # float64 K's second moment overflows
+        ("K", [[0.0, 1e200]], 1e-3, "left parameter 'K'"),
+        ("S", [[0.0, np.nan]], 1e-3, "non-finite gradient in parameter 'S'"),
+    ])
+    def test_errors_name_the_parameter_in_a_mixed_dict(self, bad, grad, lr, message):
+        params = {"a": np.zeros((2, 2), np.float32), "b": np.array([[0.0, 3e38]], np.float32),
+                  "K": np.zeros((1, 2)), "S": np.zeros((1, 2))}
+        before = {name: p.copy() for name, p in params.items()}
+        grads = {name: np.zeros_like(p) for name, p in params.items()}
+        grads[bad] = np.array(grad, params[bad].dtype)
+        with pytest.raises(NumericError, match=message):
+            adam_step(params, grads, AdamState.init(params), TrainConfig(lr=lr))
+        assert all(np.array_equal(params[name], before[name]) for name in ("a", "b"))
+
     def test_name_mismatch_rejected(self):
         params = {"w": np.zeros(2)}
         with pytest.raises(ContractError):
@@ -183,6 +247,17 @@ class TestAdamStep:
         params = {"w": np.zeros((2, 2))}
         with pytest.raises(ContractError, match="gradient shape"):
             adam_step(params, {"w": np.ones((1, 1))}, AdamState.init(params),
+                      TrainConfig())
+        # among parameters of two dtypes, the message names the one at fault
+        params = {"a": np.zeros((2, 1), np.float32), "K": np.zeros((2, 2))}
+        with pytest.raises(ContractError, match="^K: gradient shape"):
+            adam_step(params, {"a": np.zeros((2, 1), np.float32), "K": np.zeros((2, 1))},
+                      AdamState.init(params), TrainConfig())
+
+    def test_parameters_the_state_was_not_built_for_rejected(self):
+        params = {"w": np.zeros(2)}
+        with pytest.raises(ContractError, match="Adam state"):
+            adam_step(params, {"w": np.ones(2)}, AdamState.init({"q": np.zeros(2)}),
                       TrainConfig())
 
 
@@ -475,3 +550,22 @@ class TestEvaluate:
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or original(a))
         evaluate(small_model(seed=26), small_dataset(), split="val")
         assert len(calls) == 1
+
+
+def test_training_loads_no_scipy_module():
+    """A fresh interpreter that imports koopstab and trains one epoch of the
+    criterion-09 shape loads no scipy module: importing scipy.linalg alone
+    takes about as long as the whole set-up of a run."""
+    code = (
+        "import sys, koopstab\n"
+        "from koopstab.data import center_to_equilibrium, normalize, "
+        "synth_handwriting_like\n"
+        "dataset = normalize(center_to_equilibrium(synth_handwriting_like(seed=7)))\n"
+        "model = koopstab.KoopmanModel.init(n=2, d=20, hidden=(50, 50, 50), seed=7)\n"
+        "koopstab.train(model, dataset, koopstab.TrainConfig(epochs=1, seed=7))\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(koopstab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    assert done.stdout == "\n"
