@@ -14,6 +14,10 @@ With a fixed BLAS thread count (e.g. ``OPENBLAS_NUM_THREADS=1``), the same
 config and seed produce byte-identical artifacts: every float is written
 with ``repr`` or a fixed format and no artifact records wall-clock time.
 Different thread counts may sum in a different order and change the bytes.
+
+This module writes every file of a run and both spells (``setting_text``)
+and parses (``_coerce``) the config text, so a checkpoint's ``config``
+lines, one per config-file key, are a config file that replays the run.
 """
 
 from __future__ import annotations
@@ -51,10 +55,36 @@ from .errors import (
     ParseError,
     SingularMatrixError,
 )
-from .model import KoopmanModel, LossWeights, load_checkpoint
+from .model import KoopmanModel, LossWeights, load_checkpoint, save_checkpoint
 from .projection import displacement, pgd_project
 from .stability import MODES, barrier_values, certify_stable
-from .trainer import LOSS_KEYS, TrainConfig, evaluate, setting_text, train
+from .trainer import TrainConfig, evaluate, train
+
+# config-file key of each LossWeights field
+LOSS_KEYS = {"pred_weight": "pred", "lin_weight": "lin", "rec_weight": "rec",
+             "horizon": "horizon"}
+
+
+def setting_text(value) -> str:
+    """A setting as a config file spells it, which reads back unchanged.
+
+    ``str`` spells a number exactly, a bool is ``true``/``false`` and a
+    tuple is its items separated by spaces, or ``,`` when it is empty (a
+    blank value would leave a checkpoint's ``config`` line without one).
+    """
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return " ".join(map(str, value)) or ","
+    return str(value)
+
+
+def train_settings(config: TrainConfig) -> dict[str, str]:
+    """Every setting of ``config`` by its config-file key, spelled by ``setting_text``."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)
+              if f.name != "weights"}
+    values.update({k: getattr(config.weights, name) for k, name in LOSS_KEYS.items()})
+    return {key: setting_text(value) for key, value in values.items()}
 
 
 @dataclass(frozen=True)
@@ -68,7 +98,7 @@ class RunConfig:
     ``normalize`` control the equilibrium-shift / max-abs scaling steps
     recorded in the checkpoint's preprocessing block. ``train`` holds the
     optimizer, loss and projection settings and the seed; a config file sets
-    them by the keys ``TrainConfig.as_dict`` writes. ``as_dict`` is the
+    them by the keys ``train_settings`` writes. ``as_dict`` is the
     record of the run that a checkpoint keeps and ``eval`` reads back.
     """
 
@@ -104,7 +134,7 @@ class RunConfig:
         """
         values = {f.name: setting_text(getattr(self, f.name)) for f in fields(self)
                   if f.name not in ("out", "checkpoint_every", "train")}
-        return {**values, **self.train.as_dict()}
+        return {**values, **train_settings(self.train)}
 
 
 def _declared(cls) -> dict:
@@ -264,16 +294,24 @@ def cmd_train(args: argparse.Namespace) -> int:
                               k_init=config.k_init)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
+    record = config.as_dict()
+
+    def save_model():
+        save_checkpoint(out / "model.ckpt", model, dataset.preprocessing, record)
+
+    def after_epoch(epoch):
+        # a numeric abort then leaves the latest periodic checkpoint
+        if (epoch + 1) % config.checkpoint_every == 0:
+            save_model()
 
     history = train(model, dataset, config.train,
-                    checkpoint_path=out / "model.ckpt",
-                    checkpoint_every=config.checkpoint_every,
-                    checkpoint_config=config.as_dict())
-    history.save_csv(out / "history.csv")
+                    after_epoch if config.checkpoint_every else None)
+    save_model()
+    (out / "history.csv").write_text(history.to_csv(), encoding="utf-8")
 
     split = _report_split(dataset)
     report = evaluate(model, dataset, split=split)
-    report.save_csv(out / "metrics.csv")
+    (out / "metrics.csv").write_text(report.to_csv(), encoding="utf-8")
 
     certificate = certify_stable(model.K)
     (out / "barrier.txt").write_text(certificate.text() + "\n", encoding="utf-8")

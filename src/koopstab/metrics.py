@@ -21,7 +21,6 @@ trajectory is scored separately and the scores are averaged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -106,9 +105,6 @@ class MetricsReport:
         lines = ["metric,value"]
         lines += [f"{name},{repr(float(v))}" for name, v in self.rows()]
         return "\n".join(lines) + "\n"
-
-    def save_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
 
     def text(self) -> str:
         lines = [f"nmse            {self.nmse:.6g}",

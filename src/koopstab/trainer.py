@@ -19,11 +19,9 @@ The history CSV contains no wall-clock column: two runs with the same seed
 and config must produce byte-identical logs, and timing is kept in memory
 only (``IterationRecord.wall_time``).
 
-Each setting has one name, its config-file key (a ``TrainConfig`` field or a
-``LOSS_KEYS`` key), under which the checkpoint records it. The CLI records
-the settings that shape the data and the model next to these, so a
-checkpoint's ``config`` lines are a config file that replays the run, data
-included.
+Training writes no file. ``train`` calls an optional ``after_epoch`` hook
+at the end of each epoch, from which the CLI saves its periodic
+checkpoints; the CLI writes every file of a run.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ from __future__ import annotations
 import ctypes
 import os
 import time
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +42,6 @@ from .model import (
     KoopmanModel,
     LossWeights,
     check_tape_fits,
-    save_checkpoint,
     sliding_window_loss,
     window_plan,
 )
@@ -96,10 +92,6 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
 
-# config-file key of each LossWeights field
-LOSS_KEYS = {"pred_weight": "pred", "lin_weight": "lin", "rec_weight": "rec",
-             "horizon": "horizon"}
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -135,27 +127,6 @@ class TrainConfig:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.patience < 1:
             raise ContractError("patience must be >= 1")
-
-    def as_dict(self) -> dict[str, str]:
-        """Every setting by its config-file key, spelled by ``setting_text``."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)
-                  if f.name != "weights"}
-        values.update({k: getattr(self.weights, name) for k, name in LOSS_KEYS.items()})
-        return {key: setting_text(value) for key, value in values.items()}
-
-
-def setting_text(value) -> str:
-    """A setting as a config file spells it, which reads back unchanged.
-
-    ``str`` spells a number exactly, a bool is ``true``/``false`` and a
-    tuple is its items separated by spaces, or ``,`` when it is empty (a
-    blank value would leave a checkpoint's ``config`` line without one).
-    """
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, tuple):
-        return " ".join(map(str, value)) or ","
-    return str(value)
 
 
 @dataclass
@@ -307,9 +278,6 @@ class TrainHistory:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    def save_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
-
 
 def _batches(trajs: list[np.ndarray], batch_size: int,
              rng: np.random.Generator) -> list[list[np.ndarray]]:
@@ -341,25 +309,22 @@ def _check_states_fit(model: KoopmanModel, dataset: Dataset) -> None:
 
 
 def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
-          checkpoint_path=None, checkpoint_every: int = 0,
-          checkpoint_config: dict[str, str] | None = None) -> TrainHistory:
+          after_epoch=None) -> TrainHistory:
     """Run the full loop, writing into the arrays ``model`` holds; returns the history.
 
     The arrays passed to ``KoopmanModel(...)`` are the ones that change.
-    With ``checkpoint_path`` set, the model is saved every
-    ``checkpoint_every`` epochs (and at the end), so a numeric abort leaves
-    the most recent checkpoint on disk. The checkpoint's ``config`` lines
-    hold ``checkpoint_config``, by default ``config.as_dict()``; the CLI
-    passes the whole run's settings. Training first calls ``keep_heap``,
-    which tunes the allocator of the whole process.
+    ``after_epoch(epoch)``, when given, is called after each epoch's last
+    step, before early stopping decides whether to go on; the epoch at which
+    a run stops is no exception. Training writes no file: ``koopstab train``
+    saves its periodic checkpoints from this hook, so a numeric abort leaves
+    the latest one on disk. Training first calls ``keep_heap``, which tunes
+    the allocator of the whole process.
 
     Before anything is allocated, every train and val state must be finite
     in the model's dtype, and the largest batch (the ``batch_size`` longest
     train trajectories) must fit the tape (``model.check_tape_fits``); either
     failure raises ``DataError``.
     """
-    if checkpoint_config is None:
-        checkpoint_config = config.as_dict()
     keep_heap()
     train_trajs = [t.states for t in dataset.train]
     if not train_trajs:
@@ -430,10 +395,8 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
                 wall_time=time.perf_counter() - started))
             iteration += 1
 
-        if checkpoint_path is not None and checkpoint_every > 0 \
-                and (epoch + 1) % checkpoint_every == 0:
-            save_checkpoint(checkpoint_path, model, dataset.preprocessing,
-                            checkpoint_config)
+        if after_epoch is not None:
+            after_epoch(epoch)
         if score_val:
             current = history.records[-1].val_nmse
             if current < best_val - 1e-12:
@@ -441,10 +404,6 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
                 best_epoch = epoch
             elif epoch - best_epoch >= config.patience:
                 break
-
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, model, dataset.preprocessing,
-                        checkpoint_config)
     return history
 
 

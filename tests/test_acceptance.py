@@ -343,7 +343,7 @@ def _handwriting_run(tmp_dir, tag):
     history = train(model, dataset, config)
     elapsed = time.perf_counter() - started
     csv_path = tmp_dir / f"history_{tag}.csv"
-    history.save_csv(csv_path)
+    csv_path.write_text(history.to_csv(), encoding="utf-8")
     return model, dataset, history, elapsed, csv_path
 
 

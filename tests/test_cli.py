@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from koopstab.cli import (
     load_run_config,
     main,
     read_matrix,
+    train_settings,
     write_matrix,
 )
 from koopstab.data import (
@@ -63,6 +65,11 @@ class TestRunConfig:
     def test_every_field_has_a_default(self):
         RunConfig()  # constructible with no arguments
 
+    def test_as_dict_is_stringly_typed(self):
+        d = train_settings(TrainConfig())
+        assert d["lr"] == "0.001" and d["mode"] == "symmetric"
+        assert all(isinstance(v, str) for v in d.values())
+
 
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 weight = st.floats(0.0, allow_infinity=False)
@@ -80,7 +87,7 @@ train_configs = st.builds(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(config=train_configs)
 def test_settings_read_back_under_the_keys_they_are_written_with(config):
-    assert load_run_config(overrides=config.as_dict()).train == config
+    assert load_run_config(overrides=train_settings(config)).train == config
 
 
 run_configs = st.builds(
@@ -472,6 +479,58 @@ class TestTrainCommand:
             assert main(["train", "--config", str(cfg)]) == 3
             assert "zero variance" in capsys.readouterr().err
             assert not (tmp_path / "run" / "history.csv").exists()
+
+    def test_periodic_checkpoints_follow_every_nth_epoch_and_the_end(self, tmp_path,
+                                                                     monkeypatch):
+        steps, saved_after = [], []
+        original = koopstab.trainer.adam_step
+        monkeypatch.setattr(koopstab.trainer, "adam_step",
+                            lambda *args: steps.append(1) or original(*args))
+        monkeypatch.setattr(koopstab.cli, "save_checkpoint",
+                            lambda *args: saved_after.append(len(steps)))
+        cfg = write_config(tmp_path, epochs=5, checkpoint_every=2)
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert saved_after == [2, 4, 5]  # one full-batch step per epoch
+
+    def test_checkpointing_preserves_latest_state(self, tmp_path, monkeypatch):
+        trained = []
+        original = koopstab.cli.train
+        monkeypatch.setattr(koopstab.cli, "train",
+                            lambda *args: trained.append(args) or original(*args))
+        cfg = write_config(tmp_path, epochs=4, checkpoint_every=2)
+        assert main(["train", "--config", str(cfg)]) == 0
+        model, dataset = trained[0][:2]
+        loaded, pre, config = load_checkpoint(tmp_path / "run" / "model.ckpt")
+        np.testing.assert_array_equal(loaded.K, model.K)
+        assert pre.dt == dataset.preprocessing.dt
+        assert config["epochs"] == "4"
+
+    def test_numeric_abort_leaves_the_latest_periodic_checkpoint(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        cfg = write_config(tmp_path, epochs=2, out=str(tmp_path / "two"))
+        assert main(["train", "--config", str(cfg)]) == 0
+        # a full-batch epoch is one step: the loss of the fourth (epoch 3) is
+        # NaN, after the checkpoint of epoch 1 and before that of epoch 3
+        calls = []
+        original = koopstab.trainer.sliding_window_loss
+
+        def nan_in_epoch_3(*args, **kwargs):
+            calls.append(1)
+            loss = original(*args, **kwargs)
+            return SimpleNamespace(value=np.full((1, 1), np.nan)) if len(calls) == 4 else loss
+
+        monkeypatch.setattr(koopstab.trainer, "sliding_window_loss", nan_in_epoch_3)
+        cfg = write_config(tmp_path, epochs=6, checkpoint_every=2)
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "loss became non-finite at epoch 3" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "history.csv").exists()
+        aborted = load_checkpoint(tmp_path / "run" / "model.ckpt")[0].get_params()
+        two_epochs = load_checkpoint(tmp_path / "two" / "model.ckpt")[0].get_params()
+        assert aborted.keys() == two_epochs.keys()
+        for name, p in aborted.items():
+            q = two_epochs[name]
+            assert p.dtype == q.dtype and p.shape == q.shape, name
+            assert p.tobytes() == q.tobytes(), name
 
 
 class TestInputFaults:

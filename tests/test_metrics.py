@@ -161,9 +161,3 @@ class TestReport:
         with pytest.raises(DataError):
             MetricsReport(nmse=-0.1, norm_std=0.0, per_trajectory=(),
                           spectral_radius=1.0, barrier_margin=0.0)
-
-    def test_save_csv(self, tmp_path):
-        report = self._report(np.random.default_rng(92))
-        path = tmp_path / "metrics.csv"
-        report.save_csv(path)
-        assert path.read_text() == report.to_csv()
