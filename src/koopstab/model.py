@@ -31,9 +31,8 @@ line existed, as a float64 model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -337,61 +336,34 @@ def tape_bytes(encoder_sizes: Sequence[int], decoder_sizes: Sequence[int], dtype
     return np.dtype(dtype).itemsize * mlp_floats + 8 * 4 * d * d
 
 
-class WindowPlan(NamedTuple):
-    """Where every stride-1 window of a batch sits among its stacked samples.
+def check_tape_fits(model: KoopmanModel, lengths: Sequence[int], horizon: int) -> int:
+    """The number of stride-1 windows in a batch of trajectories of ``lengths``
+    samples; counted from the lengths alone, so nothing is allocated.
 
-    The index arrays are read-only, because ``window_plan`` hands the same
-    plan to every batch of the same trajectory lengths and horizon.
-    """
-
-    n_trajectories: int
-    n_samples: int
-    n_windows: int
-    horizon: int
-    starts: np.ndarray       # each window's first sample
-    window_cols: np.ndarray  # the sample at step k of every window, k = 0..H, k-major
-    ahead: np.ndarray        # window_cols without step 0: the rollout's targets
-
-
-@lru_cache(maxsize=64)
-def window_plan(lengths: tuple[int, ...], horizon: int) -> WindowPlan:
-    """The plan of a batch whose trajectories have ``lengths`` samples, in order.
-
-    Built once per (lengths, horizon) and shared; a trajectory shorter than
-    horizon + 1 samples raises ``DataError``.
+    Raise ``DataError`` when a trajectory is shorter than horizon + 1 samples,
+    or when a step over the batch would record more than ``MAX_TAPE_BYTES`` on
+    its tape (see ``tape_bytes``).
     """
     for T in lengths:
         _check_horizon(T, horizon)
-    offsets = np.cumsum((0,) + lengths)
-    n_windows = int(offsets[-1]) - horizon * len(lengths)
-    starts = np.concatenate([off + np.arange(T - horizon)
-                             for off, T in zip(offsets, lengths)])
-    # k-major like the rollout
-    window_cols = (starts + np.arange(horizon + 1)[:, None]).ravel()
-    ahead = window_cols[n_windows:]
-    for arr in (starts, window_cols, ahead):
-        arr.flags.writeable = False
-    return WindowPlan(len(lengths), int(offsets[-1]), n_windows, horizon,
-                      starts, window_cols, ahead)
-
-
-def check_tape_fits(model: KoopmanModel, plan: WindowPlan) -> None:
-    """Raise ``DataError`` when a step over ``plan``'s batch would record more
-    than ``MAX_TAPE_BYTES`` on its tape (see ``tape_bytes``)."""
+    n_samples = sum(lengths)
+    n_windows = n_samples - horizon * len(lengths)
     needed = tape_bytes(model.encoder.layer_sizes, model.decoder.layer_sizes,
-                        model.dtype, plan.n_samples, plan.n_windows, plan.horizon)
+                        model.dtype, n_samples, n_windows, horizon)
     if needed > MAX_TAPE_BYTES:
         raise DataError(
-            f"a step over {plan.n_windows} windows of {plan.n_trajectories} trajectories "
+            f"a step over {n_windows} windows of {len(lengths)} trajectories "
             f"would record {needed / 2**30:.3g} GiB on the tape, more than the "
             f"{MAX_TAPE_BYTES / 2**30:g} GiB limit; lower batch_size (trajectories "
             f"per step) or train on shorter trajectories")
+    return n_windows
 
 
 def sliding_window_loss(bound: BoundModel, batch: Sequence,
-                        weights: LossWeights,
-                        components: dict | None = None) -> DiffValue:
-    """Weighted loss averaged over every stride-1 window of length horizon+1.
+                        weights: LossWeights) -> tuple[DiffValue, dict[str, float]]:
+    """Weighted loss averaged over every stride-1 window of length horizon+1,
+    and the unweighted per-window means of its terms keyed ``pred``, ``lin``
+    and ``rec`` (0.0 for a term whose weight is zero).
 
     All window starts advance through the lifted dynamics together: one
     ``rollout`` node holds the H steps of every window side by side, step
@@ -399,52 +371,46 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
     encoding of all samples. The lin and pred terms are one
     ``gather_sq_dist`` node each over the whole horizon, and so is the rec
     term over every window, so cost scales with matrix sizes rather than
-    window count or horizon. The window indices come from ``window_plan``,
-    built once per trajectory lengths and horizon. The states, cast to the
-    model's dtype, and the rec term's targets enter the tape as constants:
-    they are not copied again, not scanned, and get no gradient.
-
-    When ``components`` is given it is filled with the unweighted per-window
-    means of the three terms (zero for terms whose weight is zero).
+    window count or horizon. The states, cast to the model's dtype, and the
+    rec term's targets enter the tape as constants: they are not copied
+    again, not scanned, and get no gradient.
 
     A batch whose tape would hold more than ``MAX_TAPE_BYTES`` (see
-    ``tape_bytes``) raises ``DataError`` before anything is allocated.
+    ``check_tape_fits``) raises ``DataError`` before anything is allocated.
     """
     if len(batch) == 0:
         raise DataError("empty batch")
     H = weights.horizon
     arrays = [_states_matrix(states) for states in batch]
-    plan = window_plan(tuple(X.shape[0] for X in arrays), H)
-    check_tape_fits(bound.model, plan)
-    n_windows, window_cols, ahead = plan.n_windows, plan.window_cols, plan.ahead
+    lengths = [X.shape[0] for X in arrays]
+    n_windows = check_tape_fits(bound.model, lengths, H)
+    offsets = np.cumsum([0] + lengths)
+    starts = np.concatenate([off + np.arange(T - H) for off, T in zip(offsets, lengths)])
+    # the sample at step k of every window, k = 0..H: k-major like the rollout
+    window_cols = (starts + np.arange(H + 1)[:, None]).ravel()
+    ahead = window_cols[n_windows:]
     X_all = np.concatenate([X.T for X in arrays], axis=1, dtype=bound.model.dtype)
 
     X = bound.tape.constant(X_all)
     Psi_all = bound.encode(X)
-    Z = ad.rollout(bound.effective(), ad.gather_cols(Psi_all, plan.starts), H)
-    pred_total = lin_total = rec_total = None
+    Z = ad.rollout(bound.effective(), ad.gather_cols(Psi_all, starts), H)
+    sums = {}
     if weights.lin > 0.0:
-        lin_total = ad.gather_sq_dist(Psi_all, ahead, Z)
+        sums["lin"] = ad.gather_sq_dist(Psi_all, ahead, Z)
     if weights.pred > 0.0:
-        pred_total = ad.gather_sq_dist(X, ahead, bound.decode(Z))
+        sums["pred"] = ad.gather_sq_dist(X, ahead, bound.decode(Z))
     if weights.rec > 0.0:
         # each sample enters once per window containing it
-        rec_total = ad.gather_sq_dist(bound.decode(Psi_all), window_cols,
-                                      bound.tape.constant(X_all[:, window_cols]))
-    parts = [ad.scale(term, w) for term, w in ((pred_total, weights.pred),
-                                               (lin_total, weights.lin),
-                                               (rec_total, weights.rec))
-             if term is not None]
-    if components is not None:
-        components.clear()
-        for key, term in (("pred", pred_total), ("lin", lin_total),
-                          ("rec", rec_total)):
-            components[key] = (float(term.value[0, 0]) / n_windows
-                               if term is not None else 0.0)
+        sums["rec"] = ad.gather_sq_dist(bound.decode(Psi_all), window_cols,
+                                        bound.tape.constant(X_all[:, window_cols]))
+    parts = [ad.scale(sums[key], getattr(weights, key))
+             for key in ("pred", "lin", "rec") if key in sums]
     total = parts[0]
     for p in parts[1:]:
         total = ad.add(total, p)
-    return ad.scale(total, 1.0 / n_windows)
+    terms = {key: float(sums[key].value[0, 0]) / n_windows if key in sums else 0.0
+             for key in ("pred", "lin", "rec")}
+    return ad.scale(total, 1.0 / n_windows), terms
 
 
 CHECKPOINT_HEADER = "koopstab-checkpoint v1"

@@ -43,7 +43,6 @@ from .model import (
     LossWeights,
     check_tape_fits,
     sliding_window_loss,
-    window_plan,
 )
 from .projection import barrier_threshold, displacement, pgd_project
 from .stability import MODES, barrier_values, spectral_radius
@@ -239,7 +238,7 @@ class IterationRecord:
     h_unprojected: np.ndarray
     h_post: np.ndarray
     displacement: float    # ||K_tilde - K_projected||_F
-    val_nmse: float        # nan when validation scoring is off
+    val_nmse: float        # in preprocessed coordinates; nan when validation scoring is off
     wall_time: float       # seconds; never serialized
 
 
@@ -320,10 +319,10 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
     the latest one on disk. Training first calls ``keep_heap``, which tunes
     the allocator of the whole process.
 
-    Before anything is allocated, every train and val state must be finite
-    in the model's dtype, and the largest batch (the ``batch_size`` longest
-    train trajectories) must fit the tape (``model.check_tape_fits``); either
-    failure raises ``DataError``.
+    Before anything is allocated, the largest batch (the ``batch_size``
+    longest train trajectories) must fit the tape (``model.check_tape_fits``,
+    which reads their lengths alone), and then every train and val state must
+    be finite in the model's dtype; either failure raises ``DataError``.
     """
     keep_heap()
     train_trajs = [t.states for t in dataset.train]
@@ -332,11 +331,9 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
     if dataset.dim != model.n:
         raise ContractError(
             f"model expects {model.n}-dimensional states, data has {dataset.dim}")
-    _check_states_fit(model, dataset)
     longest = sorted((len(states) for states in train_trajs), reverse=True)
-    check_tape_fits(model, window_plan(tuple(longest[:config.batch_size or None]),
-                                       config.weights.horizon))
-    components_buf: dict[str, float] = {}
+    check_tape_fits(model, longest[:config.batch_size or None], config.weights.horizon)
+    _check_states_fit(model, dataset)
     rng = np.random.default_rng(config.seed)
     adam = AdamState.init(model.get_params())
     history = TrainHistory(alpha=config.alpha)
@@ -359,8 +356,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
             # an overflow leaves Inf or NaN behind, which the loss check here
             # and adam_step's gradient check name
             with np.errstate(over="ignore", invalid="ignore"):
-                loss = sliding_window_loss(bound, batch, config.weights,
-                                           components=components_buf)
+                loss, terms = sliding_window_loss(bound, batch, config.weights)
                 total = float(loss.value[0, 0])
                 if not np.isfinite(total):
                     raise NumericError(f"loss became non-finite at epoch {epoch}")
@@ -384,9 +380,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
                 iteration=iteration,
                 epoch=epoch,
                 total=total,
-                pred=components_buf.get("pred", 0.0),
-                lin=components_buf.get("lin", 0.0),
-                rec=components_buf.get("rec", 0.0),
+                **terms,
                 h_pre=h_pre,
                 h_unprojected=h_unprojected,
                 h_post=h_post,

@@ -516,8 +516,10 @@ class TestTrainCommand:
 
         def nan_in_epoch_3(*args, **kwargs):
             calls.append(1)
-            loss = original(*args, **kwargs)
-            return SimpleNamespace(value=np.full((1, 1), np.nan)) if len(calls) == 4 else loss
+            loss, terms = original(*args, **kwargs)
+            if len(calls) == 4:
+                loss = SimpleNamespace(value=np.full((1, 1), np.nan))
+            return loss, terms
 
         monkeypatch.setattr(koopstab.trainer, "sliding_window_loss", nan_in_epoch_3)
         cfg = write_config(tmp_path, epochs=6, checkpoint_every=2)

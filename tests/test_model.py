@@ -21,6 +21,7 @@ from koopstab.model import (
     KoopmanModel,
     LossWeights,
     MlpParams,
+    check_tape_fits,
     load_checkpoint,
     save_checkpoint,
     sliding_window_loss,
@@ -397,11 +398,34 @@ class TestSlidingWindowLoss:
         trajs = [rng.normal(size=(7, 2)), rng.normal(size=(6, 2))]
         w = LossWeights(pred=1.0, lin=0.1, rec=1.0, horizon=2)
         fast = float(sliding_window_loss(BoundModel(Tape(), m), trajs,
-                                         w).value[0, 0])
+                                         w)[0].value[0, 0])
         windows = [traj[t:t + w.horizon + 1]
                    for traj in trajs for t in range(traj.shape[0] - w.horizon)]
         slow = loss_value(m, windows, w)
         assert fast == pytest.approx(slow, rel=1e-10)
+
+    @pytest.mark.parametrize("lin", [0.1, 0.0])
+    def test_terms_are_per_window_means_and_zero_when_unweighted(self, lin):
+        rng = np.random.default_rng(76)
+        m = tiny_model(seed=8, dtype=np.float64)
+        trajs = [rng.normal(size=(7, 2)), rng.normal(size=(6, 2))]
+        w = LossWeights(pred=2.0, lin=lin, rec=0.5, horizon=2)
+        loss, terms = sliding_window_loss(BoundModel(Tape(), m), trajs, w)
+        windows = [traj[t:t + 3] for traj in trajs for t in range(traj.shape[0] - 2)]
+        bound = BoundModel(Tape(), m)
+        means = {name: np.mean([float(f(window).value[0, 0]) for window in windows])
+                 for name, f in (("pred", lambda x: loss_pred(bound, x, 2)),
+                                 ("lin", lambda x: loss_lin(bound, x, 2)),
+                                 ("rec", lambda x: loss_rec(bound, x)))}
+        assert list(terms) == ["pred", "lin", "rec"]
+        for name in ("pred", "rec"):
+            assert terms[name] == pytest.approx(means[name], rel=1e-10), name
+        if lin:
+            assert terms["lin"] == pytest.approx(means["lin"], rel=1e-10)
+        else:
+            assert terms["lin"] == 0.0
+        weighted = sum(getattr(w, name) * value for name, value in terms.items())
+        assert float(loss.value[0, 0]) == pytest.approx(weighted, rel=1e-12)
 
     def test_gradients_match_explicit_window_batch(self):
         rng = np.random.default_rng(71)
@@ -410,7 +434,7 @@ class TestSlidingWindowLoss:
         w = LossWeights(pred=1.0, lin=0.5, rec=0.3, horizon=2)
         tape_fast = Tape()
         bound_fast = BoundModel(tape_fast, m)
-        tape_fast.backward(sliding_window_loss(bound_fast, trajs, w))
+        tape_fast.backward(sliding_window_loss(bound_fast, trajs, w)[0])
         windows = [trajs[0][t:t + 3] for t in range(4)]
         tape_slow = Tape()
         bound_slow = BoundModel(tape_slow, m)
@@ -420,7 +444,7 @@ class TestSlidingWindowLoss:
                            bound_slow.leaves[name].grad) <= 1e-9
 
     def test_matches_explicit_windows_as_batch_shapes_change(self):
-        """Each batch is new data; the third reuses the first one's plan."""
+        """Each batch is new data, and its lengths differ from the last batch's."""
         rng = np.random.default_rng(74)
         m = tiny_model(seed=13, dtype=np.float64)
         for horizon in (3, 4):
@@ -428,25 +452,11 @@ class TestSlidingWindowLoss:
             for lengths in ((7, 6), (6, 7), (7, 6)):
                 trajs = [rng.normal(size=(T, 2)) for T in lengths]
                 fast = float(sliding_window_loss(BoundModel(Tape(), m), trajs,
-                                                 w).value[0, 0])
+                                                 w)[0].value[0, 0])
                 windows = [traj[t:t + horizon + 1]
                            for traj in trajs for t in range(traj.shape[0] - horizon)]
                 assert fast == pytest.approx(loss_value(m, windows, w), rel=1e-10), \
                     (horizon, lengths)
-
-    def test_a_plan_is_built_once_and_cannot_be_written(self):
-        plan = model_module.window_plan((7, 6), 3)
-        assert model_module.window_plan((7, 6), 3) is plan
-        assert (plan.n_trajectories, plan.n_samples, plan.n_windows, plan.horizon) \
-            == (2, 13, 7, 3)
-        np.testing.assert_array_equal(plan.starts, [0, 1, 2, 3, 7, 8, 9])
-        np.testing.assert_array_equal(plan.window_cols,
-                                      (plan.starts + np.arange(4)[:, None]).ravel())
-        np.testing.assert_array_equal(plan.ahead, plan.window_cols[7:])
-        for arr in (plan.starts, plan.window_cols, plan.ahead):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1
 
     def test_a_step_scatters_three_times_and_gives_its_data_no_gradient(self, monkeypatch):
         """The initial gather and the lin and rec terms scatter into the
@@ -460,8 +470,8 @@ class TestSlidingWindowLoss:
         rng = np.random.default_rng(75)
         tape = Tape()
         bound = BoundModel(tape, tiny_model(seed=14))
-        loss = sliding_window_loss(bound, [rng.normal(size=(9, 2)), rng.normal(size=(8, 2))],
-                                   LossWeights(horizon=3))
+        loss, _ = sliding_window_loss(bound, [rng.normal(size=(9, 2)),
+                                              rng.normal(size=(8, 2))], LossWeights(horizon=3))
         data = list({id(v): v for node in tape._nodes for v in node.parents
                      if not v.needs_grad}.values())
         tape.backward(loss)
@@ -502,7 +512,7 @@ class TestSlidingWindowLoss:
                 start = tracemalloc.get_traced_memory()[0]
                 bound = BoundModel(Tape(), m)
                 bound_at = tracemalloc.get_traced_memory()[0]
-                loss = sliding_window_loss(bound, batch, LossWeights(horizon=10))
+                loss, _ = sliding_window_loss(bound, batch, LossWeights(horizon=10))
                 live = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
@@ -538,6 +548,7 @@ class TestSlidingWindowLoss:
         trajs = [rng.normal(size=(7, 2)), rng.normal(size=(6, 2))]
         w = LossWeights(horizon=2)
         needed = tape_bytes(*model_shape(m), 13, 9, 2)
+        assert check_tape_fits(m, [7, 6], 2) == 9
         monkeypatch.setattr(model_module, "MAX_TAPE_BYTES", needed - 1)
         tape = Tape()
         with pytest.raises(DataError, match="9 windows of 2 trajectories.*batch_size"):
@@ -612,7 +623,7 @@ class TestPrecision:
         for m in (m32, _cast_up(m32)):
             tape = Tape()
             bound = BoundModel(tape, m)
-            loss = sliding_window_loss(bound, batch, LossWeights(horizon=horizon))
+            loss, _ = sliding_window_loss(bound, batch, LossWeights(horizon=horizon))
             tape.backward(loss)
             results.append((float(loss.value[0, 0]), bound.gradients()))
         (loss32, grads32), (loss64, grads64) = results
@@ -630,8 +641,8 @@ class TestPrecision:
         m = tiny_model(seed=5, d=5, hidden=(7,), dtype=dtype)
         tape = Tape()
         bound = BoundModel(tape, m)
-        loss = sliding_window_loss(bound, [rng.normal(size=(9, 2)), rng.normal(size=(8, 2))],
-                                   LossWeights(horizon=3))
+        loss, _ = sliding_window_loss(bound, [rng.normal(size=(9, 2)),
+                                              rng.normal(size=(8, 2))], LossWeights(horizon=3))
         outs = [node.out for node in tape._nodes]
         tape.backward(loss)
         for name, leaf in bound.leaves.items():

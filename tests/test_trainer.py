@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 
 import koopstab
 from koopstab import trainer
-from koopstab.data import Trajectory, synth_stable_spiral
+from koopstab.data import Dataset, Trajectory, synth_stable_spiral
 from koopstab.errors import ContractError, DataError, DegenerateDataError, NumericError
-from koopstab.model import KoopmanModel, LossWeights, MlpParams
+from koopstab.metrics import nmse
+from koopstab.model import KoopmanModel, LossWeights, MlpParams, check_tape_fits
 from koopstab.stability import barrier_values, certify_stable, spectral_radius
 from koopstab.trainer import (
     AdamState,
@@ -420,6 +422,40 @@ class TestTrainLoop:
                         small_config(epochs=4, batch_size=1, early_stop=True))
         assert len(history) == 8
         assert len(calls) == len(history) + 1
+
+    @pytest.mark.parametrize("d, batch_size", [(20, 0), (200, 2)])
+    def test_val_nmse_is_the_untaped_models_score(self, d, batch_size):
+        # validation scores with S^-1 K S from the next step's tape; the model
+        # that training leaves behind forms the same matrix and the same score
+        dataset = small_dataset(n_traj=5)
+        model = small_model(d=d)
+        history = train(model, dataset, small_config(epochs=4, batch_size=batch_size,
+                                                     early_stop=True))
+        Keff = model.effective_matrix()
+        preds = [model.predict_states(t.states[0], t.n_samples - 1, Keff=Keff)
+                 for t in dataset.val]
+        score = nmse(preds, [t.states[1:] for t in dataset.val])
+        assert np.isfinite(score)
+        assert repr(history.records[-1].val_nmse) == repr(score)
+
+    def test_refusing_a_batch_over_the_tape_limit_allocates_nothing(self):
+        # three trajectories of the console-script check's long.cfg (160,001
+        # samples at dt = 5e-5) in one batch: 479,973 windows at H = 10,
+        # whose window indices alone would take 44 MB
+        trajectory = Trajectory(times=5e-5 * np.arange(160001),
+                                states=np.zeros((160001, 2)))
+        dataset = Dataset(trajectories=(trajectory,) * 3, split=("train",) * 3)
+        model = KoopmanModel.init(n=2, d=20, hidden=(50, 50, 50))
+        for refuse in (lambda: check_tape_fits(model, [160001] * 3, 10),
+                       lambda: train(model, dataset, TrainConfig(epochs=1))):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DataError, match="479973 windows of 3 trajectories"):
+                    refuse()
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20 and held < 1 << 16
 
     def test_zero_variance_validation_trajectory_raises(self):
         dataset = small_dataset()
