@@ -505,6 +505,8 @@ def load_checkpoint(path) -> tuple[KoopmanModel, Preprocessing, dict]:
             i += rows
         elif tokens[0] == "preproc-dt":
             dt = parse_row(tokens[1:], path, i, 1, "preproc-dt")[0]
+            if dt <= 0:
+                raise ParseError(f"preproc-dt must be positive, got {dt!r}", path=path, line=i)
         elif tokens[0] in (*_META_KEYS, _DTYPE_KEY):
             meta[tokens[0]] = line.split(None, 1)[1] if len(tokens) > 1 else ""
         else:

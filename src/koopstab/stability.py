@@ -128,8 +128,9 @@ def spectral_radius(K) -> float:
     if d > _DENSE_EIG_LIMIT:
         from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
         try:
-            vals = eigs(K, k=min(6, d - 2), which="LM", return_eigenvectors=False,
-                        v0=np.full(d, d ** -0.5), tol=1e-10)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = eigs(K, k=min(6, d - 2), which="LM", return_eigenvectors=False,
+                            v0=np.full(d, d ** -0.5), tol=1e-10)
             return float(np.max(np.abs(vals)))
         except (ArpackNoConvergence, ArpackError):
             pass

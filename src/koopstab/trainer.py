@@ -130,18 +130,12 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Adam's step counter and moments, held in one buffer pair per dtype.
-
-    The parameters of each dtype (the float32 encoder and decoder arrays,
-    the float64 K and S) share one flat ``m`` buffer and one flat ``v``
-    buffer, in the order ``params`` lists them; ``m[name]`` and ``v[name]``
-    are views of them shaped like the parameter.
-    """
+    """Adam's step counter and one ``(names, m, v)`` group per parameter dtype
+    (the float32 encoder and decoder, the float64 K and S): the names in
+    ``params`` order, and one flat ``m`` and one flat ``v`` buffer holding
+    their moments end to end."""
 
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    # per dtype: its parameters' names in order, and their m and v buffers
     groups: list[tuple[tuple[str, ...], np.ndarray, np.ndarray]]
 
     @classmethod
@@ -149,70 +143,53 @@ class AdamState:
         names_of: dict[np.dtype, list[str]] = {}
         for name, p in params.items():
             names_of.setdefault(p.dtype, []).append(name)
-        m, v, groups = {}, {}, []
+        groups = []
         for dtype, names in names_of.items():
-            m_buf = np.zeros(sum(params[name].size for name in names), dtype)
-            v_buf = np.zeros_like(m_buf)
-            m.update(_flat_views(m_buf, names, params))
-            v.update(_flat_views(v_buf, names, params))
-            groups.append((tuple(names), m_buf, v_buf))
-        return cls(step=0, m=m, v=v, groups=groups)
+            m = np.zeros(sum(params[name].size for name in names), dtype)
+            groups.append((tuple(names), m, np.zeros_like(m)))
+        return cls(step=0, groups=groups)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig) -> None:
     """One bias-corrected Adam update, written in place into the arrays of
-    ``params`` and the moments of ``state``.
-
-    Each dtype's parameters update together: their gradients and values are
-    gathered into two scratch buffers, which carry every intermediate, and
-    the update runs once over the whole buffer, with one finiteness scan of
-    the gradients and one of the new values and second moments. The float
-    operations per entry are those of a per-array update. A non-finite
-    gradient, or an update that overflows, raises ``NumericError`` naming
-    the first parameter affected, before that dtype's parameters are written.
-    """
+    ``params`` and the moments of ``state``: each dtype's parameters update
+    flattened together, with the float operations per entry of a per-array
+    update. A non-finite gradient, or an update that overflows, raises
+    ``NumericError`` naming the first parameter affected, before that
+    dtype's parameters are written."""
     if set(params) != set(grads):
         raise ContractError("parameter and gradient names differ")
-    if set(params) != set(state.m):
+    if set(params) != {name for names, _, _ in state.groups for name in names}:
         raise ContractError("parameter names differ from the Adam state's")
     for name, p in params.items():
         if grads[name].shape != p.shape:
             raise ContractError(f"{name}: gradient shape {grads[name].shape} != {p.shape}")
     state.step += 1
     t = state.step
-    b1, b2 = _BETA1, _BETA2
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
+    bias1, bias2 = 1.0 - _BETA1 ** t, 1.0 - _BETA2 ** t
+
+    def first_bad(finite, names):
+        return next(name for name, part in _flat_views(finite, names, params) if not part.all())
+
     # an overflow leaves Inf or NaN behind, which the explicit checks name
     with np.errstate(over="ignore", invalid="ignore"):
         for names, m, v in state.groups:
             g = np.concatenate([grads[name] for name in names], axis=None, dtype=m.dtype)
-            if not np.all(np.isfinite(g)):
-                bad = next(name for name in names if not np.all(np.isfinite(grads[name])))
-                raise NumericError(f"non-finite gradient in parameter {bad!r} at step {t}")
-            # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps), with the same
-            # float operations in the same order, in the two scratch arrays
-            gg = np.multiply(g, g)
-            gg *= 1.0 - b2
-            g *= 1.0 - b1
-            m *= b1
-            m += g
-            v *= b2
-            v += gg
-            step = np.divide(m, bias1, out=g)
-            step *= config.lr
-            den = np.divide(v, bias2, out=gg)
-            np.sqrt(den, out=den)
-            den += _EPS
-            step /= den
-            new = np.concatenate([params[name] for name in names], axis=None, out=gg)
-            new -= step
-            if not (np.all(np.isfinite(new)) and np.all(np.isfinite(v))):
-                bad = next(name for name, p in _flat_views(new, names, params)
-                           if not (np.all(np.isfinite(p)) and np.all(np.isfinite(state.v[name]))))
-                raise NumericError(f"Adam step {t} left parameter {bad!r} or its "
-                                   f"second moment non-finite")
+            finite = np.isfinite(g)
+            if not finite.all():
+                raise NumericError(f"non-finite gradient in parameter "
+                                   f"{first_bad(finite, names)!r} at step {t}")
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            new = (np.concatenate([params[name] for name in names], axis=None)
+                   - m / bias1 * config.lr / (np.sqrt(v / bias2) + _EPS))
+            finite = np.isfinite(new) & np.isfinite(v)
+            if not finite.all():
+                raise NumericError(f"Adam step {t} left parameter {first_bad(finite, names)!r} "
+                                   f"or its second moment non-finite")
             for name, p in _flat_views(new, names, params):
                 params[name][...] = p
 

@@ -15,9 +15,9 @@ reference implementations the package's fast paths are checked against.
   rounding.
 * ``gather_cols_adjoint_bincount``, ``backward_out_of_place``,
   ``tanh_adjoint_reference``, ``rollout_reference`` and
-  ``adam_step_reference`` are the plain forms of the tape's and the
-  optimizer's fast paths (in-place sums and updates); the fast paths must
-  match them bit for bit.
+  ``adam_step_reference`` (on a ``PlainAdamState``) are the plain forms of
+  the tape's and the optimizer's fast paths (in-place sums and updates);
+  the fast paths must match them bit for bit.
 * ``min_margins`` reads a training history's worst barrier per step.
 * ``Polyhedron``, ``unit_hypercube``, ``scale_set`` and
   ``inward_pointing_check`` decide forward invariance of a vertex-listed
@@ -349,7 +349,21 @@ def rollout_reference(Keff: np.ndarray, z0: np.ndarray, horizon: int) -> np.ndar
     return out
 
 
-def adam_step_reference(params, grads, state, config):
+@dataclass
+class PlainAdamState:
+    """``adam_step_reference``'s step counter and one m and v per parameter."""
+
+    step: int
+    m: dict
+    v: dict
+
+    @classmethod
+    def init(cls, params):
+        return cls(0, {k: np.zeros_like(p) for k, p in params.items()},
+                   {k: np.zeros_like(p) for k, p in params.items()})
+
+
+def adam_step_reference(params, grads, state: PlainAdamState, config):
     """``adam_step``'s update as whole-array expressions with new moments."""
     state.step += 1
     t = state.step

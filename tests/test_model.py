@@ -841,6 +841,8 @@ class TestCheckpoint:
         ("preproc-dt 0.1", "preproc-dt x"),
         ("matrix preproc.offset 1 2\n0.25 -3.5", "matrix preproc.offset 0 2"),
         ("preproc-dt 0.1", "preproc-dt nan"),
+        ("preproc-dt 0.1", "preproc-dt -0.1"),
+        ("preproc-dt 0.1", "preproc-dt 0"),
     ])
     def test_bad_preprocessing_rejected(self, tmp_path, old, new):
         path = tmp_path / "m.ckpt"

@@ -166,6 +166,13 @@ def test_spectral_radius_iterative_path_large_matrix():
     assert spectral_radius(K) == pytest.approx(0.95, abs=1e-8)
 
 
+@pytest.mark.parametrize("d", [3, 100])
+def test_spectral_radius_of_entries_near_the_float_limit_is_inf(d):
+    # an overflow inside the eigensolver is the answer, not a warning (which
+    # this suite turns into an error)
+    assert spectral_radius(np.full((d, d), 1e308)) == np.inf
+
+
 # -------------------------------------------------------------- scaled sets
 
 def test_scale_set_identity_and_hypercube():
