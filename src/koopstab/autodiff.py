@@ -41,7 +41,15 @@ own: the forward squares the residual in place, sums it and drops it, and
 the adjoint gathers the residual again (one ``np.take`` and a subtraction)
 instead of holding it on the tape until the backward pass. Its value and
 gradients are those of :func:`gather_cols` -> :func:`sub` ->
-:func:`sum_sq_norm`, bit for bit.
+:func:`sum_sq_norm`, bit for bit. Given a count per column, it weights
+each column's squares by it instead.
+
+A squared distance to a whole MLP's output, ``||target[:, idx] - mlp(z)||^2``,
+records as one operation, :func:`mlp_sq_dist`. The distance's gradient at
+the MLP's output is local to each column, so its forward runs the layers
+and their adjoint block of columns by block of columns, and the tape keeps
+none of the MLP's activations and recomputes none: only the parameter
+gradients and the gradient at the first layer.
 
 The lifted dynamics record as two operations: :func:`similarity`, whose
 value is that of :func:`matinv` -> :func:`matmul` -> :func:`matmul` bit for
@@ -49,8 +57,8 @@ bit, and :func:`rollout`, whose ``steps`` blocks are the chained
 :func:`matmul` values bit for bit, side by side in one array.
 
 A training step records only :func:`dense`, :func:`similarity`,
-:func:`gather_cols`, :func:`rollout`, :func:`gather_sq_dist`, :func:`add`
-and :func:`scale`.
+:func:`gather_cols`, :func:`rollout`, :func:`gather_sq_dist`,
+:func:`mlp_sq_dist`, :func:`add` and :func:`scale`.
 
 Data enters a tape as a constant (:meth:`Tape.constant`): the caller's
 array itself, neither copied nor scanned, that never receives a gradient.
@@ -474,40 +482,130 @@ def gather_cols(a: DiffValue, indices) -> DiffValue:
     return tape._record(out, (a,), lambda g: (_scatter_cols(g, idx, cols),))
 
 
-def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
+def _residual(a: np.ndarray, idx: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[:, idx] - b`` as a new array; ``a`` and ``b`` are not written."""
+    r = np.take(a, idx, axis=1)
+    r -= b
+    return r
+
+
+def _sq_sum(r: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """The float64 sum of ``r``'s squares, column j counted ``weights[j]`` times
+    when ``weights`` is given; ``r`` is squared in place."""
+    r *= r
+    if weights is None:
+        return np.sum(r, dtype=np.float64)
+    return np.sum(r, axis=0, dtype=np.float64) @ weights
+
+
+def gather_sq_dist(a: DiffValue, indices, b: DiffValue, weights=None) -> DiffValue:
     """Squared distance ``||a[:, indices] - b||^2`` as a (1, 1) float64 scalar.
 
+    With ``weights``, one non-negative count per column of ``b``, column j's
+    squares count ``weights[j]`` times: ``sum_j w_j ||a[:, indices[j]] - b[:, j]||^2``.
     No array of its own outlives the call: the forward squares the residual
     in place, and the adjoint gathers it again from ``a`` and ``b``, which
     are never written, scatters it for ``a``'s gradient and negates it in
     place for ``b``'s, each only when that operand is not a constant. The
-    residual and its squares are in the operands' dtype, their sum is
-    accumulated in float64, and the gradients have the operands' dtype. For
-    float64 operands the value and both gradients are the float operations
-    of ``sum_sq_norm(sub(gather_cols(a, indices), b))`` in the same order.
+    residual and its squares are in the operands' dtype, their (weighted)
+    sum is accumulated in float64, and the gradients have the operands'
+    dtype. Without weights, for float64 operands the value and both
+    gradients are the float operations of
+    ``sum_sq_norm(sub(gather_cols(a, indices), b))`` in the same order.
     """
     tape = _same_tape(a, b)
     idx = _column_indices(a, indices, "gather_sq_dist")
     if b.value.shape != (a.value.shape[0], idx.size):
         raise DimensionError(
             f"gather_sq_dist: {idx.size} columns of {a.value.shape} vs {b.value.shape}")
+    if weights is not None and np.shape(weights) != (idx.size,):
+        raise DimensionError(
+            f"gather_sq_dist: {np.shape(weights)} weights for {idx.size} columns")
     av, bv = a.value, b.value
     need_a, need_b = a.needs_grad, b.needs_grad
-
-    def residual():
-        r = np.take(av, idx, axis=1)
-        r -= bv
-        return r
-
-    r = residual()
-    r *= r
-    out = DiffValue(np.array([[np.sum(r, dtype=np.float64)]]), tape)
+    out = DiffValue(np.array([[_sq_sum(_residual(av, idx, bv), weights)]]), tape)
 
     def backward_fn(g):
-        gr = residual()
-        # a Python float keeps a float32 residual's loop in float32
-        gr *= float(2.0 * g[0, 0])
+        gr = _residual(av, idx, bv)
+        if weights is None:
+            # a Python float keeps a float32 residual's loop in float32
+            gr *= float(2.0 * g[0, 0])
+        else:
+            gr *= (2.0 * g[0, 0] * weights).astype(gr.dtype)
         ga = _scatter_cols(gr, idx, av.shape[1]) if need_a else None
         return ga, np.negative(gr, out=gr) if need_b else None
 
     return tape._record(out, (a, b), backward_fn)
+
+
+# columns per block of mlp_sq_dist's forward; a fixed width, so a value's
+# bits do not depend on anything but its operands
+BLOCK_COLS = 1024
+
+
+def mlp_sq_dist(target: DiffValue, indices, z: DiffValue, weights: Sequence[DiffValue],
+                biases: Sequence[DiffValue], fn: str) -> DiffValue:
+    """``||target[:, indices] - mlp(z)||^2`` as a (1, 1) float64 scalar, where
+    ``mlp`` is the chain of :func:`dense` layers ``weights[k]``, ``biases[k]``
+    with activation ``fn`` on every layer but the last.
+
+    ``target`` is a constant. The forward runs the columns of ``z`` in
+    blocks of ``BLOCK_COLS``: it passes each block through the layers with
+    :func:`dense_forward`, adds its residual's squares in float64, and runs
+    the adjoint of a unit loss down to the first layer straight away, adding
+    each block's parameter gradients in block order. So the tape keeps no
+    activation, only the parameter gradients and the first layer's
+    pre-activation gradient ``g0`` (first layer width x columns). The adjoint
+    scales those by the incoming gradient and forms ``z``'s gradient as
+    ``weights[0].T @ g0`` in one product.
+    Values and gradients are those of the :func:`dense` chain followed by
+    :func:`gather_sq_dist`, summed block by block in another order.
+    """
+    tape = _same_tape(target, z, *weights, *biases)
+    if target.needs_grad:
+        raise ContractError("mlp_sq_dist: the target must be a constant")
+    idx = _column_indices(target, indices, "mlp_sq_dist")
+    ws = [w.value for w in weights]
+    bs = [b.value for b in biases]
+    rows = z.value.shape[0]
+    for w, b in zip(ws, bs):
+        if w.shape[1] != rows or b.shape != (w.shape[0], 1):
+            raise DimensionError(
+                f"mlp_sq_dist: layer {w.shape} with bias {b.shape} after {rows} rows")
+        rows = w.shape[0]
+    if (not ws or len(ws) != len(bs)
+            or (rows, idx.size) != (target.value.shape[0], z.value.shape[1])):
+        raise DimensionError(
+            f"mlp_sq_dist: {len(ws)} layers and {len(bs)} biases map {z.value.shape} "
+            f"to {rows} rows, against {idx.size} columns of {target.value.shape}")
+    fns = [fn] * (len(ws) - 1) + ["identity"]
+    zv, tv = z.value, target.value
+    gws = [np.zeros_like(w) for w in ws]
+    gbs = [np.zeros_like(b) for b in bs]
+    g0 = np.empty((ws[0].shape[0], idx.size), np.result_type(ws[0], zv))
+    total = 0.0
+    for c0 in range(0, idx.size, BLOCK_COLS):
+        cols = slice(c0, c0 + BLOCK_COLS)
+        hs = [zv[:, cols]]
+        for w, b, f in zip(ws, bs, fns):
+            hs.append(dense_forward(w, hs[-1], b, f))
+        r = _residual(tv, idx[cols], hs[-1])
+        g = np.multiply(r, -2.0)
+        total += _sq_sum(r)
+        for k in range(len(ws) - 1, -1, -1):
+            g = _activation_adjoint(g, hs[k + 1], fns[k])
+            gws[k] += g @ hs[k].T
+            gbs[k] += g.sum(axis=1, keepdims=True)
+            if k:
+                g = ws[k].T @ g
+        g0[:, cols] = g
+    out = DiffValue(np.array([[total]]), tape)
+    kept = (*gws, *gbs)
+
+    def backward_fn(g):
+        c = float(g[0, 0])
+        for a in (*kept, g0):
+            a *= c
+        return (ws[0].T @ g0, *kept)
+
+    return tape._record(out, (z, *weights, *biases), backward_fn)

@@ -282,6 +282,15 @@ class BoundModel:
     def decode(self, Z: DiffValue) -> DiffValue:
         return self._mlp("decoder", self.model.decoder, Z)
 
+    def decode_sq_dist(self, target: DiffValue, indices, Z: DiffValue) -> DiffValue:
+        """``||target[:, indices] - decode(Z)||^2`` as one ``mlp_sq_dist`` node,
+        which keeps none of the decoder's activations on the tape."""
+        layers = range(len(self.model.decoder.weights))
+        return ad.mlp_sq_dist(target, indices, Z,
+                              [self.leaves[f"decoder.w{k}"] for k in layers],
+                              [self.leaves[f"decoder.b{k}"] for k in layers],
+                              self.model.decoder.activation)
+
     def effective(self) -> DiffValue:
         """S^-1 K S on the tape in the model's dtype, formed in float64 by one
         ``similarity`` node; computed once and shared by all losses."""
@@ -315,23 +324,28 @@ MAX_TAPE_BYTES = 1 << 30
 
 def tape_bytes(encoder_sizes: Sequence[int], decoder_sizes: Sequence[int], dtype,
                n_samples: int, n_windows: int, horizon: int) -> int:
-    """Bytes of the arrays a training step's tape holds, with every loss term on.
+    """Bytes of the float arrays a training step's tape holds, with every loss
+    term on.
 
     In the MLP ``dtype``: the encoder and decoder leaves, of the given layer
-    sizes. Per sample: the data, every encoder layer and, for the rec term,
-    every decoder layer. Per window: the initial lifted state and the
-    rollout's H iterates, the rec term's H + 1 gathered data targets and, for
-    the pred term, every decoder layer at each of the H steps. A float32 model
-    adds S^-1 K S in float32. In float64: the K and S leaves, and the S^-1 and
-    S^-1 K S that the ``similarity`` node keeps for its adjoint. With no data,
-    this is the least that any step's tape holds.
+    sizes, and the decoder parameter gradients that the pred term's
+    ``mlp_sq_dist`` node forms in its forward. Per sample: the data, every
+    encoder layer and, for the rec term, every decoder layer. Per window: the
+    initial lifted state and the rollout's H iterates, and the pred term's
+    gradient at the decoder's first layer at each of the H steps. A float32
+    model adds S^-1 K S in float32. In float64: the K and S leaves, and the
+    S^-1 and S^-1 K S that the ``similarity`` node keeps for its adjoint.
+    Index arrays, and the rec term's per-sample window counts, are integers
+    and not counted. With no data, this is the least that any step's tape
+    holds.
     """
-    n, d = encoder_sizes[0], encoder_sizes[-1]
+    n, d, h1 = encoder_sizes[0], encoder_sizes[-1], decoder_sizes[1]
     enc, dec = sum(encoder_sizes[1:]), sum(decoder_sizes[1:])
-    mlp_floats = (sum(a * b + b for sizes in (encoder_sizes, decoder_sizes)
-                      for a, b in zip(sizes, sizes[1:]))
+    enc_params, dec_params = (sum(a * b + b for a, b in zip(sizes, sizes[1:]))
+                              for sizes in (encoder_sizes, decoder_sizes))
+    mlp_floats = (enc_params + 2 * dec_params
                   + n_samples * (n + enc + dec)
-                  + n_windows * ((horizon + 1) * (d + n) + horizon * dec)
+                  + n_windows * ((horizon + 1) * d + horizon * h1)
                   + (d * d if np.dtype(dtype) != np.float64 else 0))
     return np.dtype(dtype).itemsize * mlp_floats + 8 * 4 * d * d
 
@@ -368,12 +382,15 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
     All window starts advance through the lifted dynamics together: one
     ``rollout`` node holds the H steps of every window side by side, step
     by step (k-major), and lifted targets are gathered from a single shared
-    encoding of all samples. The lin and pred terms are one
-    ``gather_sq_dist`` node each over the whole horizon, and so is the rec
-    term over every window, so cost scales with matrix sizes rather than
-    window count or horizon. The states, cast to the model's dtype, and the
-    rec term's targets enter the tape as constants: they are not copied
-    again, not scanned, and get no gradient.
+    encoding of all samples. The lin term is one ``gather_sq_dist`` node
+    over the whole horizon, and the pred term one ``mlp_sq_dist`` node,
+    which decodes the rollout block by block and keeps none of the
+    decoder's activations. The rec term decodes every sample once and
+    weights sample j's squared error by the number of windows that contain
+    it, one weighted ``gather_sq_dist`` node. So cost scales with matrix
+    sizes rather than window count or horizon. The states, cast to the
+    model's dtype, enter the tape as a constant: they are not copied again,
+    not scanned, and get no gradient.
 
     A batch whose tape would hold more than ``MAX_TAPE_BYTES`` (see
     ``check_tape_fits``) raises ``DataError`` before anything is allocated.
@@ -398,11 +415,11 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
     if weights.lin > 0.0:
         sums["lin"] = ad.gather_sq_dist(Psi_all, ahead, Z)
     if weights.pred > 0.0:
-        sums["pred"] = ad.gather_sq_dist(X, ahead, bound.decode(Z))
+        sums["pred"] = bound.decode_sq_dist(X, ahead, Z)
     if weights.rec > 0.0:
-        # each sample enters once per window containing it
-        sums["rec"] = ad.gather_sq_dist(bound.decode(Psi_all), window_cols,
-                                        bound.tape.constant(X_all[:, window_cols]))
+        # each sample counts once per window containing it
+        sums["rec"] = ad.gather_sq_dist(X, np.arange(X_all.shape[1]), bound.decode(Psi_all),
+                                        weights=np.bincount(window_cols))
     parts = [ad.scale(sums[key], getattr(weights, key))
              for key in ("pred", "lin", "rec") if key in sums]
     total = parts[0]

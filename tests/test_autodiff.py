@@ -185,6 +185,17 @@ def _loss_through(op_name, tape, x):
     if op_name == "sq_dist_arg":
         base = tape.leaf(np.linspace(-0.4, 0.6, x.value.shape[0] * 5).reshape(-1, 5))
         return ad.sum_sq_norm(ad.gather_sq_dist(base, [4, 0, 2], x))
+    if op_name == "weighted_sq_dist":
+        other = tape.leaf(np.linspace(-0.4, 0.6, x.value.shape[0] * 4).reshape(-1, 4))
+        return ad.sum_sq_norm(ad.gather_sq_dist(x, [0, 2, 2, 1], other,
+                                                weights=np.array([3, 1, 0, 2])))
+    if op_name == "weighted_sq_dist_arg":
+        base = tape.leaf(np.linspace(-0.4, 0.6, x.value.shape[0] * 5).reshape(-1, 5))
+        return ad.sum_sq_norm(ad.gather_sq_dist(base, [4, 0, 2], x,
+                                                weights=np.array([2, 5, 1])))
+    if op_name.startswith("mlp_sq_dist"):
+        _, arg, fn = op_name.rsplit("_", 2)
+        return ad.sum_sq_norm(_mlp_sq_dist(tape, fn, **{arg: x}))
     if op_name == "rollout_a":
         z0 = tape.leaf(np.linspace(-0.8, 0.9, x.value.shape[0] * 3).reshape(-1, 3))
         return ad.sum_sq_norm(ad.rollout(x, z0, 3))
@@ -200,10 +211,29 @@ def _loss_through(op_name, tape, x):
     raise AssertionError(op_name)
 
 
+def _mlp_sq_dist(tape, fn, z=None, w=None, b=None):
+    """A 3 -> 5 -> 4 -> 2 decoder over ten columns of ``z`` against gathered
+    columns of a constant target; ``w`` replaces the middle layer's weight
+    and ``b`` the first layer's bias."""
+    def leaf(shape, lo, hi):
+        return tape.leaf(np.linspace(lo, hi, shape[0] * shape[1]).reshape(shape))
+
+    z = z if z is not None else leaf((3, 10), -0.9, 0.8)
+    weights = [leaf((5, 3), -0.7, 0.9), w if w is not None else leaf((4, 5), 0.6, -0.5),
+               leaf((2, 4), -0.8, 0.7)]
+    biases = [b if b is not None else leaf((5, 1), -0.2, 0.3), leaf((4, 1), 0.1, -0.1),
+              leaf((2, 1), 0.05, 0.15)]
+    target = tape.constant(np.linspace(-1.0, 1.0, 24).reshape(2, 12))
+    idx = [0, 3, 3, 11, 5, 1, 7, 2, 9, 4]  # a repeated column
+    return ad.mlp_sq_dist(target, idx, z, weights, biases, fn)
+
+
 SWEEP_OPS = ["matmul_left", "matmul_right", "matinv", "tanh", "relu", "identity",
              "add", "sub", "scale", "add_bias", "bias_arg", "sum_sq_norm",
-             "gather_cols", "gather_sq_dist", "sq_dist_arg", "rollout_a", "rollout_z0",
-             "similarity_s", "similarity_k"]
+             "gather_cols", "gather_sq_dist", "sq_dist_arg", "weighted_sq_dist",
+             "weighted_sq_dist_arg", "rollout_a", "rollout_z0", "similarity_s",
+             "similarity_k"] + [f"mlp_sq_dist_{arg}_{fn}" for arg in ("z", "w", "b")
+                                for fn in ad.ACTIVATIONS]
 
 
 def _sweep_rng(op_name):
@@ -217,6 +247,8 @@ def _sweep_input(op_name, rng):
         return 0.5 * rng.standard_normal((4, 4))
     if op_name == "bias_arg":
         return rng.standard_normal((4, 1))
+    if op_name.startswith("mlp_sq_dist"):
+        return rng.standard_normal({"z": (3, 10), "w": (4, 5), "b": (5, 1)}[op_name[12]])
     x0 = rng.standard_normal((4, 3))
     if op_name == "relu":
         # keep samples away from the kink so the FD oracle is valid
@@ -225,7 +257,9 @@ def _sweep_input(op_name, rng):
 
 
 @pytest.mark.parametrize("op_name", SWEEP_OPS)
-def test_gradients_match_finite_differences(op_name):
+def test_gradients_match_finite_differences(op_name, monkeypatch):
+    # mlp_sq_dist's ten columns run as blocks of 4, 4 and 2
+    monkeypatch.setattr(ad, "BLOCK_COLS", 4)
     rng = _sweep_rng(op_name)
     for _ in range(20):
         x0 = _sweep_input(op_name, rng)
@@ -370,6 +404,66 @@ def test_gather_sq_dist_equals_the_gather_sub_sum_sq_norm_chain(idx, c):
         assert same_bits(got, want)
     for got, want in zip(fused_inputs, (a0, b0)):
         assert same_bits(got, want)  # forward and backward write no input
+
+
+@pytest.mark.parametrize("fn", ad.ACTIVATIONS)
+@pytest.mark.parametrize("block, cols", [(4, 10), (None, 10), (None, 2500)])
+def test_mlp_sq_dist_equals_the_dense_chain_and_gather_sq_dist(fn, block, cols,
+                                                                monkeypatch):
+    """Value and every gradient to 1e-12 relative at float64, whether the
+    columns run as one block, as blocks with a short last one, or past the
+    module's width; the forward and backward write no input."""
+    if block is not None:
+        monkeypatch.setattr(ad, "BLOCK_COLS", block)
+    rng = np.random.default_rng(15)
+    sizes = [3, 6, 5, 2]
+    params = [rng.standard_normal((b, a)) / np.sqrt(a) for a, b in zip(sizes, sizes[1:])]
+    params += [rng.standard_normal((b, 1)) for b in sizes[1:]]
+    z0 = rng.standard_normal((3, cols))
+    t0 = rng.standard_normal((2, cols + 3))
+    idx = rng.integers(0, cols + 3, cols)
+    c = -0.75
+
+    def run(op):
+        tape = ad.Tape()
+        z, leaves = tape.leaf(z0), [tape.leaf(p) for p in params]
+        out = op(tape.constant(t0), z, leaves[:3], leaves[3:])
+        tape.backward(ad.scale(out, c))
+        return [out.value, z.grad, *(v.grad for v in leaves)], [z.value, t0]
+
+    def chain(target, z, weights, biases):
+        h = z
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            h = ad.dense(w, h, b, fn if k < 2 else "identity")
+        return ad.gather_sq_dist(target, idx, h)
+
+    fused, inputs = run(lambda t, z, w, b: ad.mlp_sq_dist(t, idx, z, w, b, fn))
+    want, _ = run(chain)
+    for got, exact in zip(fused, want):
+        assert rel_err(got, exact) <= 1e-12
+    for got, exact in zip(inputs, (z0, t0)):
+        assert same_bits(got, exact)
+
+
+def test_weighted_gather_sq_dist_equals_the_gather_of_repeated_columns():
+    """Counting column j w_j times is gathering it w_j times: the value and
+    the gradient agree to 1e-12 relative at float64."""
+    rng = np.random.default_rng(16)
+    a0, b0 = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
+    counts = np.array([1, 3, 0, 2, 4, 1])
+    cols = np.repeat(np.arange(6), counts)
+
+    def run(op):
+        tape = ad.Tape()
+        b = tape.leaf(b0)
+        out = op(tape.constant(a0), b)
+        tape.backward(ad.scale(out, 1.25))
+        return out.value, b.grad
+
+    weighted = run(lambda a, b: ad.gather_sq_dist(a, np.arange(6), b, weights=counts))
+    repeated = run(lambda a, b: ad.gather_sq_dist(a, cols, ad.gather_cols(b, cols)))
+    for got, exact in zip(weighted, repeated):
+        assert rel_err(got, exact) <= 1e-12
 
 
 # ------------------------------------------------------------- constants
@@ -765,6 +859,18 @@ def test_shape_mismatches_raise_dimension_error():
         ad.gather_sq_dist(a, [0, 1], b)
     with pytest.raises(DimensionError):
         ad.gather_sq_dist(a, [0, 1, 3], b)
+    with pytest.raises(DimensionError, match="weights"):
+        ad.gather_sq_dist(a, [0, 1, 2], b, weights=np.ones(2))
+    target = tape.constant(np.ones((2, 4)))
+    w, bias = tape.leaf(np.ones((2, 2))), tape.leaf(np.ones((2, 1)))
+    tall, tall_bias = tape.leaf(np.ones((3, 2))), tape.leaf(np.ones((3, 1)))
+    # an input width, a bias, a layer count, no layer, a column count and an
+    # output width that do not fit a's 2 x 3 and the 2-row target
+    for weights, biases, cols in (([b], [bias], 3), ([w], [tall_bias], 3),
+                                  ([w, w], [bias], 3), ([], [], 3), ([w], [bias], 2),
+                                  ([tall], [tall_bias], 3)):
+        with pytest.raises(DimensionError, match="mlp_sq_dist"):
+            ad.mlp_sq_dist(target, np.arange(cols), a, weights, biases, "tanh")
     for value in (1.0, [1.0, 2.0], np.ones((1, 1, 1))):
         with pytest.raises(DimensionError, match="2-D"):
             tape.leaf(value)
@@ -795,6 +901,9 @@ def test_backward_contract_errors():
         ad.add(x, other.leaf(np.ones((2, 2))))
     with pytest.raises(ContractError):
         ad.gather_sq_dist(x, [0, 1], other.leaf(np.ones((2, 2))))
+    with pytest.raises(ContractError, match="constant"):
+        ad.mlp_sq_dist(x, [0, 1], x, [tape.leaf(np.eye(2))], [tape.leaf(np.ones((2, 1)))],
+                       "tanh")
     with pytest.raises(ContractError):
         tape.leaf([[np.nan, 0.0]])
     foreign = ad.sum_sq_norm(other.leaf(np.ones((2, 2))))

@@ -363,7 +363,7 @@ class TestTrainCommand:
         assert f"more than {MAX_GRID_STEPS}" in capsys.readouterr().err
 
     def test_batch_over_the_tape_limit_exits_2(self, tmp_path, capsys, monkeypatch):
-        # a float32 step of two trajectories records 43,976 bytes
+        # a float32 step of two trajectories records 35,288 bytes
         monkeypatch.setattr(koopstab.model, "MAX_TAPE_BYTES", 1 << 15)
         cfg = write_config(tmp_path, batch_size=2)
         assert main(["train", "--config", str(cfg)]) == 2
@@ -373,17 +373,18 @@ class TestTrainCommand:
 
     def test_largest_batch_over_the_tape_limit_exits_2_before_adam_allocates(
             self, tmp_path, capsys, monkeypatch):
-        # the console-script check's long.cfg: one 8-s spiral of 160,001
-        # samples at dt = 5e-5 trains as one batch of 159,991 windows
+        # the console-script check's long.cfg: one 8-s spiral of 400,001
+        # samples at dt = 2e-5 trains as one batch of 399,991 windows, 1.56 GiB
+        # of tape (at dt = 5e-5 its 159,991 windows would take 0.62 GiB and fit)
         data = write_csv_dir(tmp_path / "long", synth_stable_spiral(n_traj=3))
         def allocate(*args, **kwargs):
             raise AssertionError("Adam's moments were allocated")
         monkeypatch.setattr(koopstab.trainer.AdamState, "init", allocate)
         cfg = tmp_path / "long.cfg"
-        cfg.write_text(f"data = {data}\ndt = 0.00005\nout = {tmp_path / 'run'}\n")
+        cfg.write_text(f"data = {data}\ndt = 0.00002\nout = {tmp_path / 'run'}\n")
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "159991 windows of 1 trajectories" in err and "batch_size" in err
+        assert "399991 windows of 1 trajectories" in err and "batch_size" in err
         assert not (tmp_path / "run" / "history.csv").exists()
 
     @pytest.mark.parametrize("bad, named", [(0, "train trajectory 0"),
