@@ -282,14 +282,15 @@ class BoundModel:
     def decode(self, Z: DiffValue) -> DiffValue:
         return self._mlp("decoder", self.model.decoder, Z)
 
-    def decode_sq_dist(self, target: DiffValue, indices, Z: DiffValue) -> DiffValue:
-        """``||target[:, indices] - decode(Z)||^2`` as one ``mlp_sq_dist`` node,
-        which keeps none of the decoder's activations on the tape."""
+    def decode_sq_dist(self, target: DiffValue, indices, Z: DiffValue,
+                       counts=None) -> DiffValue:
+        """``||target[:, indices] - decode(Z)||^2``, column j counted ``counts[j]``
+        times if given, as one ``mlp_sq_dist`` node, which keeps no activation."""
         layers = range(len(self.model.decoder.weights))
         return ad.mlp_sq_dist(target, indices, Z,
                               [self.leaves[f"decoder.w{k}"] for k in layers],
                               [self.leaves[f"decoder.b{k}"] for k in layers],
-                              self.model.decoder.activation)
+                              self.model.decoder.activation, counts)
 
     def effective(self) -> DiffValue:
         """S^-1 K S on the tape in the model's dtype, formed in float64 by one
@@ -324,30 +325,30 @@ MAX_TAPE_BYTES = 1 << 30
 
 def tape_bytes(encoder_sizes: Sequence[int], decoder_sizes: Sequence[int], dtype,
                n_samples: int, n_windows: int, horizon: int) -> int:
-    """Bytes of the float arrays a training step's tape holds, with every loss
-    term on.
+    """Bytes of the arrays a training step's tape holds, with every loss term on.
 
     In the MLP ``dtype``: the encoder and decoder leaves, of the given layer
-    sizes, and the decoder parameter gradients that the pred term's
-    ``mlp_sq_dist`` node forms in its forward. Per sample: the data, every
-    encoder layer and, for the rec term, every decoder layer. Per window: the
-    initial lifted state and the rollout's H iterates, and the pred term's
-    gradient at the decoder's first layer at each of the H steps. A float32
-    model adds S^-1 K S in float32. In float64: the K and S leaves, and the
-    S^-1 and S^-1 K S that the ``similarity`` node keeps for its adjoint.
-    Index arrays, and the rec term's per-sample window counts, are integers
-    and not counted. With no data, this is the least that any step's tape
-    holds.
+    sizes, and the decoder parameter gradients that the pred and rec terms'
+    ``mlp_sq_dist`` nodes each form in their forward. Per sample: the data,
+    every encoder layer and the rec term's gradient at the decoder's first
+    layer. Per window: the initial lifted state and the rollout's H
+    iterates, and the pred term's first-layer gradient at each of the H
+    steps. A float32 model adds S^-1 K S in float32. In float64: the K and
+    S leaves, and the S^-1 and S^-1 K S that the ``similarity`` node keeps
+    for its adjoint. In integers, per window: the initial gather's start,
+    and the H+1 sample columns that the lin term's targets are a view of.
+    With no data, this is the least that any step's tape holds.
     """
     n, d, h1 = encoder_sizes[0], encoder_sizes[-1], decoder_sizes[1]
-    enc, dec = sum(encoder_sizes[1:]), sum(decoder_sizes[1:])
+    enc = sum(encoder_sizes[1:])
     enc_params, dec_params = (sum(a * b + b for a, b in zip(sizes, sizes[1:]))
                               for sizes in (encoder_sizes, decoder_sizes))
-    mlp_floats = (enc_params + 2 * dec_params
-                  + n_samples * (n + enc + dec)
+    mlp_floats = (enc_params + 3 * dec_params
+                  + n_samples * (n + enc + h1)
                   + n_windows * ((horizon + 1) * d + horizon * h1)
                   + (d * d if np.dtype(dtype) != np.float64 else 0))
-    return np.dtype(dtype).itemsize * mlp_floats + 8 * 4 * d * d
+    return (np.dtype(dtype).itemsize * mlp_floats + 8 * 4 * d * d
+            + np.dtype(np.intp).itemsize * (horizon + 2) * n_windows)
 
 
 def check_tape_fits(model: KoopmanModel, lengths: Sequence[int], horizon: int) -> int:
@@ -383,11 +384,11 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
     ``rollout`` node holds the H steps of every window side by side, step
     by step (k-major), and lifted targets are gathered from a single shared
     encoding of all samples. The lin term is one ``gather_sq_dist`` node
-    over the whole horizon, and the pred term one ``mlp_sq_dist`` node,
-    which decodes the rollout block by block and keeps none of the
-    decoder's activations. The rec term decodes every sample once and
-    weights sample j's squared error by the number of windows that contain
-    it, one weighted ``gather_sq_dist`` node. So cost scales with matrix
+    over the whole horizon. The pred and rec terms are one ``mlp_sq_dist``
+    node each, which decodes block by block and keeps none of the decoder's
+    activations: the pred node decodes the rollout, and the rec node
+    decodes every sample once and counts sample j's squared error once per
+    window that contains it. So cost scales with matrix
     sizes rather than window count or horizon. The states, cast to the
     model's dtype, enter the tape as a constant: they are not copied again,
     not scanned, and get no gradient.
@@ -418,8 +419,8 @@ def sliding_window_loss(bound: BoundModel, batch: Sequence,
         sums["pred"] = bound.decode_sq_dist(X, ahead, Z)
     if weights.rec > 0.0:
         # each sample counts once per window containing it
-        sums["rec"] = ad.gather_sq_dist(X, np.arange(X_all.shape[1]), bound.decode(Psi_all),
-                                        weights=np.bincount(window_cols))
+        sums["rec"] = bound.decode_sq_dist(X, np.arange(X_all.shape[1]), Psi_all,
+                                           counts=np.bincount(window_cols))
     parts = [ad.scale(sums[key], getattr(weights, key))
              for key in ("pred", "lin", "rec") if key in sums]
     total = parts[0]

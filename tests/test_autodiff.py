@@ -185,17 +185,10 @@ def _loss_through(op_name, tape, x):
     if op_name == "sq_dist_arg":
         base = tape.leaf(np.linspace(-0.4, 0.6, x.value.shape[0] * 5).reshape(-1, 5))
         return ad.sum_sq_norm(ad.gather_sq_dist(base, [4, 0, 2], x))
-    if op_name == "weighted_sq_dist":
-        other = tape.leaf(np.linspace(-0.4, 0.6, x.value.shape[0] * 4).reshape(-1, 4))
-        return ad.sum_sq_norm(ad.gather_sq_dist(x, [0, 2, 2, 1], other,
-                                                weights=np.array([3, 1, 0, 2])))
-    if op_name == "weighted_sq_dist_arg":
-        base = tape.leaf(np.linspace(-0.4, 0.6, x.value.shape[0] * 5).reshape(-1, 5))
-        return ad.sum_sq_norm(ad.gather_sq_dist(base, [4, 0, 2], x,
-                                                weights=np.array([2, 5, 1])))
-    if op_name.startswith("mlp_sq_dist"):
+    if "mlp_sq_dist" in op_name:
         _, arg, fn = op_name.rsplit("_", 2)
-        return ad.sum_sq_norm(_mlp_sq_dist(tape, fn, **{arg: x}))
+        counts = COUNTS if op_name.startswith("counted") else None
+        return ad.sum_sq_norm(_mlp_sq_dist(tape, fn, counts, **{arg: x}))
     if op_name == "rollout_a":
         z0 = tape.leaf(np.linspace(-0.8, 0.9, x.value.shape[0] * 3).reshape(-1, 3))
         return ad.sum_sq_norm(ad.rollout(x, z0, 3))
@@ -211,10 +204,16 @@ def _loss_through(op_name, tape, x):
     raise AssertionError(op_name)
 
 
-def _mlp_sq_dist(tape, fn, z=None, w=None, b=None):
+# a count for each of _mlp_sq_dist's ten columns; the zero and the larger
+# counts fall in different blocks of 4
+COUNTS = np.array([3, 1, 0, 2, 1, 5, 1, 2, 4, 1])
+
+
+def _mlp_sq_dist(tape, fn, counts=None, z=None, w=None, b=None):
     """A 3 -> 5 -> 4 -> 2 decoder over ten columns of ``z`` against gathered
-    columns of a constant target; ``w`` replaces the middle layer's weight
-    and ``b`` the first layer's bias."""
+    columns of a constant target, each column counted ``counts`` times when
+    given; ``w`` replaces the middle layer's weight and ``b`` the first
+    layer's bias."""
     def leaf(shape, lo, hi):
         return tape.leaf(np.linspace(lo, hi, shape[0] * shape[1]).reshape(shape))
 
@@ -225,15 +224,15 @@ def _mlp_sq_dist(tape, fn, z=None, w=None, b=None):
               leaf((2, 1), 0.05, 0.15)]
     target = tape.constant(np.linspace(-1.0, 1.0, 24).reshape(2, 12))
     idx = [0, 3, 3, 11, 5, 1, 7, 2, 9, 4]  # a repeated column
-    return ad.mlp_sq_dist(target, idx, z, weights, biases, fn)
+    return ad.mlp_sq_dist(target, idx, z, weights, biases, fn, counts)
 
 
 SWEEP_OPS = ["matmul_left", "matmul_right", "matinv", "tanh", "relu", "identity",
              "add", "sub", "scale", "add_bias", "bias_arg", "sum_sq_norm",
-             "gather_cols", "gather_sq_dist", "sq_dist_arg", "weighted_sq_dist",
-             "weighted_sq_dist_arg", "rollout_a", "rollout_z0", "similarity_s",
-             "similarity_k"] + [f"mlp_sq_dist_{arg}_{fn}" for arg in ("z", "w", "b")
-                                for fn in ad.ACTIVATIONS]
+             "gather_cols", "gather_sq_dist", "sq_dist_arg", "rollout_a", "rollout_z0",
+             "similarity_s", "similarity_k"] + [
+                 f"{kind}_{arg}_{fn}" for kind in ("mlp_sq_dist", "counted_mlp_sq_dist")
+                 for arg in ("z", "w", "b") for fn in ad.ACTIVATIONS]
 
 
 def _sweep_rng(op_name):
@@ -247,8 +246,9 @@ def _sweep_input(op_name, rng):
         return 0.5 * rng.standard_normal((4, 4))
     if op_name == "bias_arg":
         return rng.standard_normal((4, 1))
-    if op_name.startswith("mlp_sq_dist"):
-        return rng.standard_normal({"z": (3, 10), "w": (4, 5), "b": (5, 1)}[op_name[12]])
+    if "mlp_sq_dist" in op_name:
+        arg = op_name.rsplit("_", 2)[1]
+        return rng.standard_normal({"z": (3, 10), "w": (4, 5), "b": (5, 1)}[arg])
     x0 = rng.standard_normal((4, 3))
     if op_name == "relu":
         # keep samples away from the kink so the FD oracle is valid
@@ -445,25 +445,35 @@ def test_mlp_sq_dist_equals_the_dense_chain_and_gather_sq_dist(fn, block, cols,
         assert same_bits(got, exact)
 
 
-def test_weighted_gather_sq_dist_equals_the_gather_of_repeated_columns():
-    """Counting column j w_j times is gathering it w_j times: the value and
-    the gradient agree to 1e-12 relative at float64."""
+def test_counted_mlp_sq_dist_equals_the_gather_of_repeated_columns(monkeypatch):
+    """Counting column j c_j times is gathering it c_j times: under every
+    activation the value and every gradient agree to 1e-12 relative at
+    float64, whether the counts run as one block or are sliced into blocks
+    of 4."""
     rng = np.random.default_rng(16)
-    a0, b0 = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
-    counts = np.array([1, 3, 0, 2, 4, 1])
-    cols = np.repeat(np.arange(6), counts)
+    sizes = [3, 6, 5, 2]
+    params = [rng.standard_normal((b, a)) / np.sqrt(a) for a, b in zip(sizes, sizes[1:])]
+    params += [rng.standard_normal((b, 1)) for b in sizes[1:]]
+    z0, t0 = rng.standard_normal((3, 10)), rng.standard_normal((2, 12))
+    idx = rng.integers(0, 12, 10)
+    cols = np.repeat(np.arange(10), COUNTS)
 
     def run(op):
         tape = ad.Tape()
-        b = tape.leaf(b0)
-        out = op(tape.constant(a0), b)
+        z, leaves = tape.leaf(z0), [tape.leaf(p) for p in params]
+        out = op(tape.constant(t0), z, leaves[:3], leaves[3:])
         tape.backward(ad.scale(out, 1.25))
-        return out.value, b.grad
+        return [out.value, z.grad, *(v.grad for v in leaves)]
 
-    weighted = run(lambda a, b: ad.gather_sq_dist(a, np.arange(6), b, weights=counts))
-    repeated = run(lambda a, b: ad.gather_sq_dist(a, cols, ad.gather_cols(b, cols)))
-    for got, exact in zip(weighted, repeated):
-        assert rel_err(got, exact) <= 1e-12
+    whole = ad.BLOCK_COLS
+    for fn in ad.ACTIVATIONS:
+        for block in (whole, 4):
+            monkeypatch.setattr(ad, "BLOCK_COLS", block)
+            counted = run(lambda t, z, w, b: ad.mlp_sq_dist(t, idx, z, w, b, fn, COUNTS))
+            repeated = run(lambda t, z, w, b: ad.mlp_sq_dist(
+                t, idx[cols], ad.gather_cols(z, cols), w, b, fn))
+            for got, exact in zip(counted, repeated):
+                assert rel_err(got, exact) <= 1e-12, (fn, block)
 
 
 # ------------------------------------------------------------- constants
@@ -859,10 +869,10 @@ def test_shape_mismatches_raise_dimension_error():
         ad.gather_sq_dist(a, [0, 1], b)
     with pytest.raises(DimensionError):
         ad.gather_sq_dist(a, [0, 1, 3], b)
-    with pytest.raises(DimensionError, match="weights"):
-        ad.gather_sq_dist(a, [0, 1, 2], b, weights=np.ones(2))
     target = tape.constant(np.ones((2, 4)))
     w, bias = tape.leaf(np.ones((2, 2))), tape.leaf(np.ones((2, 1)))
+    with pytest.raises(DimensionError, match="counts"):
+        ad.mlp_sq_dist(target, [0, 1, 2], a, [w], [bias], "tanh", counts=np.ones(2))
     tall, tall_bias = tape.leaf(np.ones((3, 2))), tape.leaf(np.ones((3, 1)))
     # an input width, a bias, a layer count, no layer, a column count and an
     # output width that do not fit a's 2 x 3 and the 2-row target

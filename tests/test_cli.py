@@ -363,7 +363,7 @@ class TestTrainCommand:
         assert f"more than {MAX_GRID_STEPS}" in capsys.readouterr().err
 
     def test_batch_over_the_tape_limit_exits_2(self, tmp_path, capsys, monkeypatch):
-        # a float32 step of two trajectories records 35,288 bytes
+        # a float32 step of two trajectories records 40,408 bytes
         monkeypatch.setattr(koopstab.model, "MAX_TAPE_BYTES", 1 << 15)
         cfg = write_config(tmp_path, batch_size=2)
         assert main(["train", "--config", str(cfg)]) == 2
@@ -374,8 +374,8 @@ class TestTrainCommand:
     def test_largest_batch_over_the_tape_limit_exits_2_before_adam_allocates(
             self, tmp_path, capsys, monkeypatch):
         # the console-script check's long.cfg: one 8-s spiral of 400,001
-        # samples at dt = 2e-5 trains as one batch of 399,991 windows, 1.56 GiB
-        # of tape (at dt = 5e-5 its 159,991 windows would take 0.62 GiB and fit)
+        # samples at dt = 2e-5 trains as one batch of 399,991 windows, 1.44 GiB
+        # of tape (at dt = 5e-5 its 159,991 windows would take 0.58 GiB and fit)
         data = write_csv_dir(tmp_path / "long", synth_stable_spiral(n_traj=3))
         def allocate(*args, **kwargs):
             raise AssertionError("Adam's moments were allocated")

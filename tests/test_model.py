@@ -481,13 +481,13 @@ class TestSlidingWindowLoss:
         assert all(leaf._grad is not None for leaf in bound.leaves.values())
 
     def test_criterion_09_shape_records_one_node_per_layer(self):
-        """Each MLP layer is one node: 4 encoder and 4 decoder layers of 20.
+        """Each encoder layer is one node: 4 of them of 16.
 
         S^-1 K S is one ``similarity`` node in either dtype, the H steps of
-        every window one ``rollout`` node, the lin and rec terms one
-        ``gather_sq_dist`` node each, and the pred term, decoder and all, one
-        ``mlp_sq_dist`` node; the rest are the initial gather, three weights,
-        two sums and the mean.
+        every window one ``rollout`` node, the lin term one ``gather_sq_dist``
+        node, and the pred and rec terms, decoder and all, one ``mlp_sq_dist``
+        node each; the rest are the initial gather, three weights, two sums
+        and the mean.
         """
         dataset = synth_handwriting_like(seed=7)
         for dtype in (np.float32, np.float64):
@@ -496,7 +496,7 @@ class TestSlidingWindowLoss:
             tape = Tape()
             sliding_window_loss(BoundModel(tape, m), [t.states for t in dataset.train],
                                 LossWeights(horizon=10))
-            assert len(tape) == 20, dtype
+            assert len(tape) == 16, dtype
 
     def test_wide_step_tape_holds_what_tape_bytes_counts(self):
         """d=200, two trajectories, H=10: 9.7 MB live in float64 while every
@@ -518,23 +518,29 @@ class TestSlidingWindowLoss:
                 live = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-            assert len(bound.tape) == 18
+            assert len(bound.tape) == 15
             assert live - bound_at < 6e6
             estimate = tape_bytes(*model_shape(m), n_samples, n_samples - 2 * 10, 10)
             assert 0.9 < estimate / (live - start) < 1.1, dtype
             assert loss.value.shape == (1, 1)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_tape_bytes_counts_every_array_the_tape_records(self, dtype):
+    @pytest.mark.parametrize("dtype, hidden, lengths", [
+        (np.float32, (4,), (7, 6)), (np.float64, (4,), (7, 6)),
+        (np.float32, (5,), (7, 6, 5)), (np.float64, (5,), (7, 6, 5))],
+        ids=["float32", "float64", "float32-hidden5", "float64-hidden5"])
+    def test_tape_bytes_counts_every_array_the_tape_records(self, dtype, hidden, lengths):
         """Every recorded value and leaf but the (1, 1) loss scalars, and every
-        float array an adjoint keeps, alone or in a tuple or list (S^-1, the
-        float64 S^-1 K S, and the pred term's decoder gradients and
-        first-layer gradient), each at its own itemsize."""
+        array an adjoint keeps, alone or in a tuple or list (S^-1, the float64
+        S^-1 K S, the pred and rec terms' decoder gradients and first-layer
+        gradients, and the index arrays), each at its own itemsize; a view
+        counts as the whole array it views. The second shape tells the rec
+        term's per-sample first-layer gradient from a per-sample count of
+        every decoder layer, which the first shape's 13 samples of 2 states
+        cannot: their 26 floats equal the decoder's 26 parameters."""
         rng = np.random.default_rng(73)
-        m = tiny_model(seed=12, dtype=dtype)
+        m = tiny_model(seed=12, hidden=hidden, dtype=dtype)
         tape = Tape()
-        sliding_window_loss(BoundModel(tape, m),
-                            [rng.normal(size=(7, 2)), rng.normal(size=(6, 2))],
+        sliding_window_loss(BoundModel(tape, m), [rng.normal(size=(T, 2)) for T in lengths],
                             LossWeights(horizon=2))
         arrays = {}
         for node in tape._nodes:
@@ -543,10 +549,12 @@ class TestSlidingWindowLoss:
                 held = cell.cell_contents
                 kept.extend(held if isinstance(held, (tuple, list)) else [held])
             for arr in [v.value for v in (node.out, *node.parents)] + kept:
-                if isinstance(arr, np.ndarray) and arr.dtype in ad.FLOAT_DTYPES:
+                if isinstance(arr, np.ndarray):
+                    arr = arr if arr.base is None else arr.base
                     arrays[id(arr)] = arr
         held = sum(arr.nbytes for arr in arrays.values() if arr.shape != (1, 1))
-        assert held == tape_bytes(*model_shape(m), 13, 9, 2)
+        n_samples = sum(lengths)
+        assert held == tape_bytes(*model_shape(m), n_samples, n_samples - 2 * len(lengths), 2)
 
     def test_batch_over_the_tape_limit_is_refused_before_recording(self, monkeypatch):
         rng = np.random.default_rng(73)

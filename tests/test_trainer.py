@@ -460,7 +460,7 @@ class TestTrainLoop:
 
     def test_refusing_a_batch_over_the_tape_limit_allocates_nothing(self):
         # three 8-s spirals of 160,001 samples at dt = 5e-5 in one batch:
-        # 479,973 windows at H = 10, 1.87 GiB of tape, whose window indices
+        # 479,973 windows at H = 10, 1.73 GiB of tape, whose window indices
         # alone would take 44 MB
         trajectory = Trajectory(times=5e-5 * np.arange(160001),
                                 states=np.zeros((160001, 2)))
