@@ -16,15 +16,18 @@ accumulate (sum) across fan-out; a fresh tape is used per training step, so
 there is nothing to reset.
 
 Gradients are materialised lazily: a value holds no gradient array until
-the sweep reaches it. Every adjoint returns arrays it allocated, one to
-each parent, so a value's first contribution becomes its gradient and
-later ones are added into that array in place. The sweep releases each
-node once its adjoint is applied, so after :meth:`Tape.backward` the tape
-keeps no activations or closures, and reference counting frees a step's
-intermediates as soon as the caller drops them, without waiting for the
-cyclic garbage collector. A value refers to its tape weakly, so a tape
-dropped before its backward pass, with whatever it recorded, is freed the
-same way.
+the sweep reaches it. An adjoint returns arrays it allocated, one to each
+parent, so a value's first contribution becomes its gradient and later
+ones are added into that array in place. An adjoint may instead subtract
+its contribution into an operand's existing gradient itself and return
+``None`` for that operand, as :func:`gather_sq_dist`'s does for ``b``.
+The sweep drops each contribution once it is added and releases each node
+once its adjoint is applied, so no contribution lives into the next
+adjoint, after :meth:`Tape.backward` the tape keeps no activations or
+closures, and reference counting frees a step's intermediates as soon as
+the caller drops them, without waiting for the cyclic garbage collector.
+A value refers to its tape weakly, so a tape dropped before its backward
+pass, with whatever it recorded, is freed the same way.
 
 A whole dense layer, ``act(w @ x + b)``, records as one operation,
 :func:`dense`. Its forward, :func:`dense_forward`, which the untaped
@@ -38,9 +41,9 @@ available as separate operations.
 A squared distance to gathered columns, ``||a[:, idx] - b||^2``, records
 as one operation too, :func:`gather_sq_dist`. It keeps no array of its
 own: the forward squares the residual in place, sums it and drops it, and
-the adjoint gathers the residual again (one ``np.take`` and a subtraction)
-instead of holding it on the tape until the backward pass. Its value and
-gradients are those of :func:`gather_cols` -> :func:`sub` ->
+the adjoint gathers the residual again, a bounded chunk of columns at a
+time, instead of holding it on the tape until the backward pass. Its
+value and gradients are those of :func:`gather_cols` -> :func:`sub` ->
 :func:`sum_sq_norm`, bit for bit.
 
 A squared distance to a whole MLP's output, ``||target[:, idx] - mlp(z)||^2``,
@@ -179,8 +182,12 @@ class Tape:
 
         ``loss`` must be a (1, 1) scalar produced on this tape. The sweep skips
         an operation only when no loss reaches it (its gradient is ``None``),
-        drops what an adjoint returns for a constant, and releases each
-        operation once its adjoint is applied: one backward per tape.
+        drops what an adjoint returns for a constant, and skips a ``None``,
+        which an adjoint returns for a constant or for an operand whose
+        existing gradient it subtracted its contribution into itself. It
+        releases each operation once its adjoint is applied: one backward
+        per tape. A contribution added into an existing gradient is freed
+        before the next adjoint runs.
         """
         if loss._tape is not self._ref:
             raise ContractError("loss was not computed on this tape")
@@ -195,20 +202,29 @@ class Tape:
         loss._grad = np.ones((1, 1), loss.value.dtype)
         while nodes:
             node = nodes.pop()
-            g = node.out._grad
-            if g is None:
-                continue
-            for parent, pg in zip(node.parents, node.backward_fn(g)):
-                if not parent.needs_grad:
-                    continue
-                if parent._grad is None:
-                    parent._grad = pg
-                else:
-                    parent._grad += pg
+            if node.out._grad is not None:
+                _apply_adjoint(node)
 
     def __len__(self):
         """Number of operations recorded, including those already released."""
         return self._released + len(self._nodes)
+
+
+def _apply_adjoint(node: _Node) -> None:
+    """Run ``node``'s adjoint and add what it returns into its parents'
+    gradients, skipping a ``None`` and a constant's contribution.
+
+    The contributions are this frame's alone, so each one that was added
+    into an existing gradient is freed on return, before the sweep runs the
+    next adjoint.
+    """
+    for parent, pg in zip(node.parents, node.backward_fn(node.out._grad)):
+        if pg is None or not parent.needs_grad:
+            continue
+        if parent._grad is None:
+            parent._grad = pg
+        else:
+            parent._grad += pg
 
 
 def _same_tape(*vals: DiffValue) -> Tape:
@@ -464,12 +480,30 @@ def _scatter_cols(g: np.ndarray, idx: np.ndarray, cols: int) -> np.ndarray:
     -0.0 in ``g`` scatters as +0.0.
     """
     out = np.zeros((g.shape[0], cols), g.dtype)
-    # where a run starts: its index is not one more than the one before
-    firsts = np.flatnonzero(np.diff(idx, prepend=-2) != 1).tolist()
-    for j0, j1 in zip(firsts, firsts[1:] + [idx.size]):
-        c = int(idx[j0])
+    for j0, j1, c in _column_runs(idx):
         out[:, c:c + j1 - j0] += g[:, j0:j1]
     return out
+
+
+def _column_runs(idx: np.ndarray) -> list[tuple[int, int, int]]:
+    """The runs of consecutive indices in ``idx``, in order: ``(j0, j1, c)``
+    for each maximal ``idx[j0:j1] == range(c, c + j1 - j0)``."""
+    # where a run starts: its index is not one more than the one before
+    firsts = np.flatnonzero(np.diff(idx, prepend=-2) != 1).tolist()
+    return [(j0, j1, int(idx[j0])) for j0, j1 in zip(firsts, firsts[1:] + [idx.size])]
+
+
+def _run_chunks(idx: np.ndarray, width: int) -> list[list[tuple[int, int, int]]]:
+    """``idx``'s runs (:func:`_column_runs`) in order, in chunks of consecutive
+    runs that span at most ``width`` positions of ``idx``; a longer run takes
+    a chunk of its own."""
+    chunks = []
+    for run in _column_runs(idx):
+        if chunks and run[1] - chunks[-1][0][0] <= width:
+            chunks[-1].append(run)
+        else:
+            chunks.append([run])
+    return chunks
 
 
 def gather_cols(a: DiffValue, indices) -> DiffValue:
@@ -497,17 +531,28 @@ def _sq_sum(r: np.ndarray, counts: np.ndarray | None = None) -> float:
     return np.sum(r, axis=0, dtype=np.float64) @ counts
 
 
+# entries of the buffer in which gather_sq_dist's adjoint forms its residual,
+# a chunk of index runs at a time; the bits do not depend on it
+RUN_BUFFER_ENTRIES = 1 << 16
+
+
 def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
     """Squared distance ``||a[:, indices] - b||^2`` as a (1, 1) float64 scalar.
 
     No array of its own outlives the call: the forward squares the residual
-    in place, and the adjoint gathers it again from ``a`` and ``b``, which
-    are never written, scatters it for ``a``'s gradient and negates it in
-    place for ``b``'s. The residual and its squares are in the operands'
-    dtype, their sum is accumulated in float64, and the gradients have the
-    operands' dtype. For float64 operands the value and both gradients are
-    the float operations of ``sum_sq_norm(sub(gather_cols(a, indices), b))``
-    in the same order.
+    in place, and the adjoint forms it again from ``a`` and ``b``, which are
+    never written, a chunk of consecutive index runs at a time in one buffer
+    of ``RUN_BUFFER_ENTRIES`` entries (or of one longer run). Each chunk's
+    scaled residual is added run by run into a scatter for ``a``'s gradient
+    and subtracted from ``b``'s existing gradient, for which the adjoint
+    returns ``None``; a ``b`` without one gets the negated residual as a new
+    array. So no array the size of ``b`` is formed while ``b`` has a
+    gradient. The residual and its squares are in the operands' dtype, their
+    sum is accumulated in float64, and the gradients have the operands'
+    dtype. For float64 operands the value and both gradients are the float
+    operations of ``sum_sq_norm(sub(gather_cols(a, indices), b))`` in the
+    same order: subtracting from ``b``'s gradient gives the bits of adding
+    the negation.
     """
     tape = _same_tape(a, b)
     idx = _column_indices(a, indices, "gather_sq_dist")
@@ -518,10 +563,32 @@ def gather_sq_dist(a: DiffValue, indices, b: DiffValue) -> DiffValue:
     out = DiffValue(np.array([[_sq_sum(_residual(av, idx, bv))]]), tape)
 
     def backward_fn(g):
-        gr = _residual(av, idx, bv)
         # a Python float keeps a float32 residual's loop in float32
-        gr *= float(2.0 * g[0, 0])
-        return _scatter_cols(gr, idx, av.shape[1]), np.negative(gr, out=gr)
+        c2 = float(2.0 * g[0, 0])
+        # b's part goes into its existing gradient, or else into a new array
+        gb = b._grad
+        into = gb is not None
+        if not into and b.needs_grad:
+            gb = np.empty(bv.shape, av.dtype)
+        ga = np.zeros(av.shape, av.dtype)
+        rows = av.shape[0]
+        chunks = _run_chunks(idx, max(RUN_BUFFER_ENTRIES // max(rows, 1), 1))
+        buf = np.empty(rows * max((runs[-1][1] - runs[0][0] for runs in chunks), default=0),
+                       av.dtype)
+        for runs in chunks:
+            j0, j1 = runs[0][0], runs[-1][1]
+            r = buf[:rows * (j1 - j0)].reshape(rows, j1 - j0)
+            # in range already; mode "raise" would copy through a buffer of its own
+            np.take(av, idx[j0:j1], axis=1, out=r, mode="clip")
+            r -= bv[:, j0:j1]
+            r *= c2
+            for k0, k1, c in runs:
+                ga[:, c:c + k1 - k0] += r[:, k0 - j0:k1 - j0]
+            if into:
+                gb[:, j0:j1] -= r
+            elif gb is not None:
+                np.negative(r, out=gb[:, j0:j1])
+        return ga, None if into else gb
 
     return tape._record(out, (a, b), backward_fn)
 

@@ -65,25 +65,21 @@ def _l1_project(Y: np.ndarray, radii: np.ndarray, active: int = 0):
     to four rescales), so a row gets the same bits in any block.
     """
     mags = np.abs(Y)
-    out = Y.copy()
     theta = np.zeros(len(Y))
     over = np.flatnonzero(~(mags.sum(axis=1) <= radii))
     width = Y.shape[1]
     if over.size == 0 or width == 0:
         # a row without entries (asymmetric, d = 1) leaves all to the diagonal
         theta[over] = -radii[over]
-        return out, theta
+        return Y.copy(), theta
     mags, radius = mags[over], radii[over]
-    u = np.sort(mags, axis=1)[:, ::-1]
-    cumulative = np.cumsum(u, axis=1)
-    hits = u * np.arange(1 + active, width + 1 + active) > cumulative - radius[:, None]
-    # k is the last hit. A row without hits takes k = 0 with active = 1, and
-    # k = 1 with active = 0: index 0 always qualifies in exact arithmetic,
-    # but rounding loses it when the entries dwarf the radius
-    k = np.where(hits.any(axis=1), width - np.argmax(hits[:, ::-1], axis=1), 1 - active)
-    top = np.take_along_axis(cumulative, np.maximum(k - 1, 0)[:, None], axis=1)[:, 0]
-    theta[over] = lam = (np.where(k > 0, top, 0.0) - radius) / (k + active)
-    x = np.sign(Y[over]) * np.maximum(mags - lam[:, None], 0.0)
+    theta[over] = lam = _threshold(mags, radius, active)
+    # x = sign(y) max(|y| - lam, 0), formed in the buffer of the rows' |y|
+    x = mags
+    x -= lam[:, None]
+    np.maximum(x, 0.0, out=x)
+    x *= np.sign(Y[over])
+    out = Y.copy()
     # float roundoff can leave a ball row a few ulp outside; rescale it down
     for _ in range(0 if active else 4):
         s = np.abs(x).sum(axis=1)
@@ -93,6 +89,22 @@ def _l1_project(Y: np.ndarray, radii: np.ndarray, active: int = 0):
         x[still] *= (radius[still] / s[still])[:, None]
     out[over] = x
     return out, theta
+
+
+def _threshold(mags: np.ndarray, radius: np.ndarray, active: int) -> np.ndarray:
+    """Each row's soft threshold lam for the magnitudes ``mags`` of a row over
+    its ``radius``; the sort, its cumulative sums and the hit mask die on
+    return."""
+    width = mags.shape[1]
+    u = np.sort(mags, axis=1)[:, ::-1]
+    cumulative = np.cumsum(u, axis=1)
+    hits = u * np.arange(1 + active, width + 1 + active) > cumulative - radius[:, None]
+    # k is the last hit. A row without hits takes k = 0 with active = 1, and
+    # k = 1 with active = 0: index 0 always qualifies in exact arithmetic,
+    # but rounding loses it when the entries dwarf the radius
+    k = np.where(hits.any(axis=1), width - np.argmax(hits[:, ::-1], axis=1), 1 - active)
+    top = np.take_along_axis(cumulative, np.maximum(k - 1, 0)[:, None], axis=1)[:, 0]
+    return (np.where(k > 0, top, 0.0) - radius) / (k + active)
 
 
 def _project_rows(Y: np.ndarray, diag: np.ndarray, radii: np.ndarray, mode: str):

@@ -1,9 +1,11 @@
 """Training loop: Adam on all parameters, then the barrier projection on K.
 
 Each iteration:
-  1. snapshots K (the projection thresholds come from this pre-update value),
-  2. evaluates the sliding-window loss on the batch and backpropagates, on
+  1. evaluates the sliding-window loss on the batch and backpropagates, on
      the tape already bound to the current parameters,
+  2. snapshots K (the projection thresholds come from this pre-update
+     value), after the backward pass, so the copy lives through Adam and
+     the projection only,
   3. updates encoder, decoder, K, and S in place with bias-corrected Adam,
   4. projects every row of K back to its relaxed barrier set, in place,
   5. binds the next iteration's tape to the updated parameters; validation
@@ -183,9 +185,20 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             m *= _BETA1
             m += (1.0 - _BETA1) * g
             v *= _BETA2
-            v += (1.0 - _BETA2) * (g * g)
-            new = (np.concatenate([params[name] for name in names], axis=None)
-                   - m / bias1 * config.lr / (np.sqrt(v / bias2) + _EPS))
+            # g's buffer then holds (1 - beta2) g^2, and then sqrt(v / bias2) + eps
+            g *= g
+            g *= 1.0 - _BETA2
+            v += g
+            np.divide(v, bias2, out=g)
+            np.sqrt(g, out=g)
+            g += _EPS
+            step = m / bias1
+            step *= config.lr
+            step /= g
+            del g
+            new = np.concatenate([params[name] for name in names], axis=None)
+            new -= step
+            del step
             finite = np.isfinite(new) & np.isfinite(v)
             if not finite.all():
                 raise NumericError(f"Adam step {t} left parameter {first_bad(finite, names)!r} "
@@ -253,6 +266,25 @@ class TrainHistory:
                    repr(r.val_nmse))
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
+
+
+def _update(model: KoopmanModel, grads: dict[str, np.ndarray], adam: AdamState,
+            config: TrainConfig) -> tuple[np.ndarray, float, np.ndarray]:
+    """Adam, then the projection of K, written into the arrays ``model`` holds.
+
+    Returns the row barriers of the updated K_tilde, the projection's
+    displacement and the row barriers of the projected K. K's pre-update
+    copy, which sets the projection's thresholds, is taken here, after the
+    backward pass, and it dies with the projection when this returns.
+    """
+    K_pre = model.K.copy()
+    adam_step(model.get_params(), grads, adam, config)
+    # model.K holds K_tilde until the projection is written back
+    h_unprojected = barrier_values(model.K).rows(config.mode)
+    K_proj = pgd_project(model.K, K_pre, config.alpha, config.mode, config.margin)
+    step_displacement = displacement(model.K, K_proj)
+    model.K[...] = K_proj
+    return h_unprojected, step_displacement, barrier_values(K_proj).rows(config.mode)
 
 
 def _batches(trajs: list[np.ndarray], batch_size: int,
@@ -325,8 +357,7 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
     for epoch in range(config.epochs):
         for batch in _batches(train_trajs, config.batch_size, rng):
             started = time.perf_counter()
-            K_pre = model.K.copy()
-            # model.K is the initial K or the last step's K_proj, whose
+            # model.K is the initial K or the last step's projection, whose
             # barriers h_post holds
             h_pre = h_post
 
@@ -339,14 +370,8 @@ def train(model: KoopmanModel, dataset: Dataset, config: TrainConfig,
                     raise NumericError(f"loss became non-finite at epoch {epoch}")
                 bound.tape.backward(loss)
 
-            # model.K holds K_tilde until the projection is written back
-            adam_step(model.get_params(), bound.gradients(), adam, config)
-            h_unprojected = barrier_values(model.K).rows(config.mode)
-            K_proj = pgd_project(model.K, K_pre, config.alpha, config.mode,
-                                 config.margin)
-            step_displacement = displacement(model.K, K_proj)
-            model.K[...] = K_proj
-            h_post = barrier_values(K_proj).rows(config.mode)
+            h_unprojected, step_displacement, h_post = _update(
+                model, bound.gradients(), adam, config)
 
             # the next step's tape; validation scores with its S^-1 K S,
             # which that step's loss then reuses

@@ -320,7 +320,8 @@ def gather_cols_adjoint_bincount(g: np.ndarray, idx, rows: int, cols: int) -> np
 
 
 def backward_out_of_place(tape: ad.Tape, loss: DiffValue) -> None:
-    """``Tape.backward`` that forms every sum as a new array; constants get none."""
+    """``Tape.backward`` that forms every sum as a new array; constants get none,
+    and a ``None`` an adjoint returns adds nothing."""
     nodes, tape._nodes = tape._nodes, []
     tape._released = len(nodes)
     tape._backward_done = True
@@ -331,7 +332,7 @@ def backward_out_of_place(tape: ad.Tape, loss: DiffValue) -> None:
         if g is None:
             continue
         for parent, pg in zip(node.parents, node.backward_fn(g)):
-            if parent.needs_grad:
+            if pg is not None and parent.needs_grad:
                 parent._grad = pg if parent._grad is None else parent._grad + pg
 
 

@@ -406,6 +406,70 @@ def test_gather_sq_dist_equals_the_gather_sub_sum_sq_norm_chain(idx, c):
         assert same_bits(got, want)  # forward and backward write no input
 
 
+@pytest.mark.parametrize("idx", [[0, 2, 3, 6], [1, 1, 4, 0, 4, 4], [5, 3, 0],
+                                 [2, 3, 4, 0, 1, 2, 3, 6, 6]])
+@pytest.mark.parametrize("c", [1.5, -0.5])
+@pytest.mark.parametrize("entries, b_has_grad", [(None, True), (6, False), (6, True)],
+                         ids=["b-with-gradient", "chunked", "chunked-b-with-gradient"])
+def test_gather_sq_dist_subtracts_into_bs_gradient_with_the_chains_bits(
+        idx, c, entries, b_has_grad, monkeypatch):
+    """The cases the test above leaves out: ``b`` with a gradient that an op
+    recorded later has given it, signed zeros included, which the adjoint
+    subtracts into, and chunks of at most two columns (6 entries over 3
+    rows), with each longer run in a chunk of its own. The value and both
+    gradients equal the gather, sub, sum_sq_norm chain's bit for bit, for
+    repeated, decreasing and run-forming indices."""
+    if entries is not None:
+        monkeypatch.setattr(ad, "RUN_BUFFER_ENTRIES", entries)
+    rng = np.random.default_rng(17)
+    a0 = rng.standard_normal((3, 7))
+    a0[2, ::2], a0[2, 1::2] = 0.0, -0.0
+    b0 = rng.standard_normal((3, len(idx)))
+    b0[:, ::2] = a0[:, idx][:, ::2]  # exactly zero residuals, some at b = -0.0
+
+    def run(op):
+        tape = ad.Tape()
+        a, b = tape.leaf(a0), tape.leaf(b0)
+        out = op(a, b)
+        loss = ad.scale(out, c)
+        if b_has_grad:
+            # recorded after, so its adjoint reaches b first: 0.5 b, signed zeros too
+            loss = ad.add(loss, ad.sum_sq_norm(ad.scale(b, 0.5)))
+        tape.backward(loss)
+        return [out.value, a.grad, b.grad], [a.value, b.value]
+
+    fused, fused_inputs = run(lambda a, b: ad.gather_sq_dist(a, idx, b))
+    chain, _ = run(lambda a, b: ad.sum_sq_norm(ad.sub(ad.gather_cols(a, idx), b)))
+    assert np.any(chain[2] == 0.0)
+    for got, want in zip(fused, chain):
+        assert same_bits(got, want)
+    for got, want in zip(fused_inputs, (a0, b0)):
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("has_grad", [False, True])
+def test_gather_sq_dist_of_a_value_against_itself_keeps_the_chains_bits(has_grad):
+    """With ``b`` the same value as ``a``: b's part reaches the shared gradient
+    before a's scatter, as the chain's ``sub`` runs before its gather."""
+    rng = np.random.default_rng(18)
+    x0 = rng.standard_normal((3, 5))
+    idx = [4, 0, 1, 2, 2]
+
+    def run(op):
+        tape = ad.Tape()
+        x = tape.leaf(x0)
+        loss = op(x)
+        if has_grad:
+            loss = ad.add(loss, ad.sum_sq_norm(ad.scale(x, 0.25)))
+        tape.backward(loss)
+        return [loss.value, x.grad]
+
+    fused = run(lambda x: ad.gather_sq_dist(x, idx, x))
+    chain = run(lambda x: ad.sum_sq_norm(ad.sub(ad.gather_cols(x, idx), x)))
+    for got, want in zip(fused, chain):
+        assert same_bits(got, want)
+
+
 @pytest.mark.parametrize("fn", ad.ACTIVATIONS)
 @pytest.mark.parametrize("block, cols", [(4, 10), (None, 10), (None, 2500)])
 def test_mlp_sq_dist_equals_the_dense_chain_and_gather_sq_dist(fn, block, cols,
@@ -528,6 +592,39 @@ def test_backward_releases_the_step_without_the_cycle_collector():
         assert hidden_ref() is None  # freed as its node was released
         del tape, loss, w
         assert tape_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_finished_adjoints_arrays_are_dead_when_the_next_adjoint_runs():
+    """The add hands h two copies of its gradient: the first becomes h's
+    gradient and the second is added into it. When the scale's adjoint runs
+    next, only h's gradient is alive: the second copy and the add's own
+    output gradient are freed."""
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        h = ad.scale(tape.leaf(np.ones((2, 3))), 2.0)
+        loss = ad.sum_sq_norm(ad.add(h, h))
+        scale_node, add_node = tape._nodes[0], tape._nodes[1]
+        refs, alive = [], []
+        add_fn, scale_fn = add_node.backward_fn, scale_node.backward_fn
+
+        def add_spy(g):
+            pgs = add_fn(g)
+            refs.extend(weakref.ref(a) for a in (g, *pgs))
+            return pgs
+
+        def scale_spy(g):
+            alive.append([r() is not None for r in refs])
+            return scale_fn(g)
+
+        add_node.backward_fn, scale_node.backward_fn = add_spy, scale_spy
+        del add_node, scale_node
+        tape.backward(loss)
+        # the add's gradient and second copy dead; its first copy is h's
+        assert alive == [[False, True, False]]
+        assert refs[1]() is h._grad
     finally:
         gc.enable()
 

@@ -459,14 +459,15 @@ class TestSlidingWindowLoss:
                     (horizon, lengths)
 
     def test_a_step_scatters_twice_and_gives_its_data_no_gradient(self, monkeypatch):
-        """The initial gather and the lin term scatter into the encoding. The
-        states are a constant, which the pred, rec and lin terms compare
-        with: the pred and rec terms and the first encoder layer form nothing
-        for it, and it holds no gradient array after the pass."""
+        """The initial gather and the lin term scatter into the encoding, each
+        with one walk over its index runs. The states are a constant, which
+        the pred, rec and lin terms compare with: the pred and rec terms and
+        the first encoder layer form nothing for it, and it holds no gradient
+        array after the pass."""
         calls = []
-        scatter = ad._scatter_cols
-        monkeypatch.setattr(ad, "_scatter_cols",
-                            lambda *args: calls.append(args) or scatter(*args))
+        runs = ad._column_runs
+        monkeypatch.setattr(ad, "_column_runs",
+                            lambda *args: calls.append(args) or runs(*args))
         rng = np.random.default_rng(75)
         tape = Tape()
         bound = BoundModel(tape, tiny_model(seed=14))
